@@ -24,3 +24,39 @@ def mask_of(indices: Iterable[int]) -> int:
     for i in indices:
         out |= 1 << i
     return out
+
+
+BLOCK = 8
+_BLOCK_MASK = (1 << BLOCK) - 1
+
+
+def and_tables(masks, seed: int) -> list:
+    """Subset-AND tables over ``masks``, one per block of 8 indices.
+
+    Entry b of block k is ``seed`` ANDed with ``masks[8k + j]`` for every
+    bit j of b, so ``and_fold`` reads the AND over any index set with one
+    lookup per block (the method of the Four Russians). Each table is
+    grown by doubling: the upper half is the lower half ANDed with the
+    next mask, i.e. t[b] = t[b ^ top] & mask[top]. Equal entries share
+    one int object, which keeps the tables of a large subspace small.
+    """
+    tables = []
+    shared: dict = {}
+    for start in range(0, max(len(masks), 1), BLOCK):
+        t = [seed]
+        for m in masks[start : start + BLOCK]:
+            t += [v & m for v in t]
+        tables.append([shared.setdefault(v, v) for v in t])
+    return tables
+
+
+def and_fold(tables: list, x: int) -> int:
+    """AND of the seed and the masks indexed by the set bits of x.
+
+    x must have no bits beyond the masks the tables were built from.
+    """
+    out = -1
+    for t in tables:
+        out &= t[x & _BLOCK_MASK]
+        x >>= BLOCK
+    return out

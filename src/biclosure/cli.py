@@ -121,7 +121,7 @@ def _cmd_represent(args) -> int:
     if args.kind == "general":
         _, family, report = represent(poset, args.dual_cap)
     elif args.kind == "distributive":
-        _, family, report = represent_distributive(poset)
+        _, family, report = represent_distributive(poset, args.dual_cap)
     else:
         orthos = find_orthocomplementations(poset)
         if not orthos:
@@ -131,7 +131,9 @@ def _cmd_represent(args) -> int:
                 f"ortho index {args.ortho_index} out of range, "
                 f"{len(orthos)} found"
             )
-        space, report = represent_orthoposet(poset, orthos[args.ortho_index])
+        space, report = represent_orthoposet(
+            poset, orthos[args.ortho_index], args.dual_cap
+        )
         family = space.clopen
     payload = {"kind": args.kind, "report": report.to_json()}
     _emit_json(payload, args.out)
@@ -150,7 +152,7 @@ def _cmd_ortho(args) -> int:
     code = 0
     star = dual_space(poset, args.dual_cap)
     if poset.is_bounded() and star.size <= args.s_cap:
-        ok, detail = ortho_correspondence(poset, args.s_cap)
+        ok, detail = ortho_correspondence(poset, args.s_cap, args.dual_cap)
         payload["correspondence"] = detail
         if not ok:
             code = 1
@@ -162,7 +164,7 @@ def _cmd_ortho(args) -> int:
 
 def _cmd_stone(args) -> int:
     poset = _load_poset(args.poset)
-    space = stone(poset)
+    space = stone(poset, args.dual_cap)
     labels = poset.labels
     payload = {
         "poset": poset_to_json(poset),

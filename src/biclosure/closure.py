@@ -50,7 +50,7 @@ class ClosureOperator:
         if x & ~self.full:
             raise MemberOutOfRange("argument has bits outside the carrier")
         out = self.full
-        for b in self.base:
+        for b in self.base.members:
             if x & ~b == 0:
                 out &= b
         return out

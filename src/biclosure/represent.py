@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .bitops import bits
+from .bitops import and_fold, and_tables, bits
 from .closure import (
     ClosureOperator,
     clopen_sets,
@@ -36,11 +36,9 @@ from .dualspace import (
     Subspace,
     _separating_points,
     dual_space,
-    filter_of,
     filters_wrt,
     generated_filter,
     generated_ideal,
-    ideal_of,
     ideals_wrt,
     is_full,
     is_separating,
@@ -253,7 +251,9 @@ class StoneSpace:
     kernels: tuple
 
 
-def represent_orthoposet(poset: Poset, ortho: OrthoMap):
+def represent_orthoposet(
+    poset: Poset, ortho: OrthoMap, dual_cap: int = DUAL_POINT_CAP
+):
     """Clopen representation over the orthodual of an orthocomplementation.
 
     The two induced closures coincide, the clopen family of the common
@@ -261,7 +261,7 @@ def represent_orthoposet(poset: Poset, ortho: OrthoMap):
     set complementation. All three facts are verified; a failure is a
     bug and raises RuntimeError.
     """
-    space = orthodual_space(poset, ortho)
+    space = orthodual_space(poset, ortho, dual_cap)
     c1, c2 = induced_closures(space)
     if not closures_equal(c1, c2):
         raise RuntimeError("orthodual closures differ")
@@ -274,12 +274,12 @@ def represent_orthoposet(poset: Poset, ortho: OrthoMap):
     return ClosureSpace(space, c1, clopen_sets(c1)), report
 
 
-def represent_distributive(poset: Poset):
+def represent_distributive(poset: Poset, dual_cap: int = DUAL_POINT_CAP):
     """Topological representation of a distributive lattice over its
     morphism dual. Raises NotDistributive on other inputs."""
     if not poset.is_distributive():
         raise NotDistributive("morphism-dual representation needs distributivity")
-    morph = lattice_dual(poset)
+    morph = lattice_dual(poset, dual_cap)
     c1, c2 = induced_closures(morph)
     if not (c1.is_topological() and c2.is_topological()):
         raise RuntimeError("morphism-dual closures are not topological")
@@ -289,7 +289,7 @@ def represent_distributive(poset: Poset):
     return morph, report.family, report
 
 
-def stone(poset: Poset) -> StoneSpace:
+def stone(poset: Poset, dual_cap: int = DUAL_POINT_CAP) -> StoneSpace:
     """Point space of a Boolean lattice: the constant-free morphism dual.
 
     The two closures coincide, are exact and topological, the clopen
@@ -298,7 +298,7 @@ def stone(poset: Poset) -> StoneSpace:
     """
     if not poset.is_boolean():
         raise NotBoolean("point-space construction needs a Boolean lattice")
-    points = remove_constants(lattice_dual(poset))
+    points = remove_constants(lattice_dual(poset, dual_cap))
     c1, c2 = induced_closures(points)
     if not closures_equal(c1, c2):
         raise RuntimeError("point-space closures differ")
@@ -423,7 +423,9 @@ def induced_orthocomplementation(subspace: Subspace) -> OrthoMap:
     return OrthoMap(poset, tuple(perm))
 
 
-def ortho_correspondence(poset: Poset, cap: int = SWEEP_CAP):
+def ortho_correspondence(
+    poset: Poset, cap: int = SWEEP_CAP, dual_cap: int = DUAL_POINT_CAP
+):
     """Match orthocomplementations with maximal selfdual subspaces.
 
     Verifies that f -> orthodual(f) is a bijection onto the maximal
@@ -435,13 +437,13 @@ def ortho_correspondence(poset: Poset, cap: int = SWEEP_CAP):
     if not poset.is_bounded():
         raise NotBounded("the correspondence is stated for bounded posets")
     orthos = find_orthocomplementations(poset)
-    spaces = selfdual_subspaces(poset, cap)
+    spaces = selfdual_subspaces(poset, cap, dual_cap)
     maxima = maximal_subspaces(spaces)
     max_points = {a.points for a in maxima}
     ok = len(orthos) == len(maxima)
     seen = set()
     for f in orthos:
-        pts = orthodual_space(poset, f).points
+        pts = orthodual_space(poset, f, dual_cap).points
         if pts not in max_points or pts in seen:
             ok = False
         seen.add(pts)
@@ -449,7 +451,7 @@ def ortho_correspondence(poset: Poset, cap: int = SWEEP_CAP):
         g = induced_orthocomplementation(a)
         if g not in orthos:
             ok = False
-        if orthodual_space(poset, g).points != a.points:
+        if orthodual_space(poset, g, dual_cap).points != a.points:
             ok = False
     report = {
         "orthocomplementations": len(orthos),
@@ -524,19 +526,25 @@ def _lattice_filters(poset: Poset) -> list:
 
 
 def _closure_formula_agrees(subspace: Subspace, c1, c2, xs):
-    """Compare apply() against the filter/ideal intersection formulas."""
+    """Compare apply() against the filter/ideal intersection formulas.
+
+    The right-hand sides come from the points' one-sets alone: blocked
+    AND tables give the A-filter and the A-ideal cut out by x, then the
+    intersection of the up-images (lo-images) over them. No table looks
+    at apply() or at which images contain x.
+    """
+    n = subspace.poset.n
+    carrier = subspace.poset.full
+    cokernels = and_tables(subspace.points, carrier)
+    kernels = and_tables(
+        [subspace.kernel(i) for i in range(subspace.size)], carrier
+    )
+    ups = and_tables([subspace.up_image(p) for p in range(n)], subspace.all_mask)
+    los = and_tables([subspace.lo_image(p) for p in range(n)], subspace.all_mask)
     for x in xs:
-        f = filter_of(subspace, x)
-        rhs = subspace.all_mask
-        for p in bits(f):
-            rhs &= subspace.up_image(p)
-        if c1.apply(x) != rhs:
+        if c1.apply(x) != and_fold(ups, and_fold(cokernels, x)):
             return False, x
-        ker = ideal_of(subspace, x)
-        rhs = subspace.all_mask
-        for p in bits(ker):
-            rhs &= subspace.lo_image(p)
-        if c2.apply(x) != rhs:
+        if c2.apply(x) != and_fold(los, and_fold(kernels, x)):
             return False, x
     return True, None
 
@@ -589,9 +597,11 @@ def check_poset(
             )
         )
 
+        ideals = ideals_wrt(star)
+        filters = filters_wrt(star)
         downsets = tuple(sorted(poset.full ^ s for s in star.points))
-        ideals_ok = ideals_wrt(star).members == downsets
-        filters_ok = filters_wrt(star).members == star.points
+        ideals_ok = ideals.members == downsets
+        filters_ok = filters.members == star.points
         checks.append(
             CheckResult(
                 "ideals-are-downsets",
@@ -616,8 +626,6 @@ def check_poset(
             )
         )
 
-        ideals = ideals_wrt(star)
-        filters = filters_wrt(star)
         hyp = True
         for p in range(poset.n):
             for q in range(poset.n):
@@ -655,7 +663,7 @@ def check_poset(
     if suite in ("all", "ortho"):
         orthos = find_orthocomplementations(poset) if bounded else []
         for k, f in enumerate(orthos):
-            space = orthodual_space(poset, f)
+            space = orthodual_space(poset, f, dual_cap)
             oc1, oc2 = induced_closures(space)
             rep3 = representation_report(poset, space)
             complement_ok = all(
@@ -693,7 +701,7 @@ def check_poset(
                 )
             )
         if bounded and star.size <= sweep_cap:
-            ok, detail = ortho_correspondence(poset, sweep_cap)
+            ok, detail = ortho_correspondence(poset, sweep_cap, dual_cap)
             checks.append(
                 CheckResult(
                     "ortho-correspondence",
@@ -708,7 +716,7 @@ def check_poset(
     is_dist = is_lat and poset.is_distributive()
 
     if suite in ("all", "distributive") and is_lat:
-        morph = lattice_dual(poset)
+        morph = lattice_dual(poset, dual_cap)
         fullsep = is_full(morph)[0] and is_separating(morph)[0]
         checks.append(
             CheckResult(
@@ -754,7 +762,7 @@ def check_poset(
             )
 
     if suite in ("all", "boolean") and is_dist:
-        trimmed = remove_constants(lattice_dual(poset))
+        trimmed = remove_constants(lattice_dual(poset, dual_cap))
         tc1, tc2 = induced_closures(trimmed)
         coincide = closures_equal(tc1, tc2)
         checks.append(
@@ -767,7 +775,7 @@ def check_poset(
             )
         )
         if poset.is_boolean():
-            space = stone(poset)
+            space = stone(poset, dual_cap)
             atoms = [
                 i
                 for i in range(poset.n)

@@ -141,6 +141,26 @@ def test_dual_cap_exits_three(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize(
+    "verb",
+    [
+        ["represent"],
+        ["represent", "--kind", "distributive"],
+        ["represent", "--kind", "ortho"],
+        ["ortho"],
+        ["stone"],
+        ["check"],
+        ["export-dot"],
+    ],
+    ids=" ".join,
+)
+def test_dual_cap_exits_three_on_every_verb(capsys, verb):
+    code, out, err = run(capsys, *verb, B4, "--dual-cap", "2")
+    assert code == 3
+    assert out == ""
+    assert "cap" in err
+
+
 def test_malformed_json_reports_location(capsys):
     code, _, err = run(capsys, "dual", '{"elements": [,]}')
     assert code == 2
