@@ -15,12 +15,13 @@ import json
 import sys
 
 from .bitops import bits
+from .closure import closed_open_family, induced_closures
 from .dualspace import DUAL_POINT_CAP, dual_space
 from .errors import BiclosureError, BoundExceeded
 from .poset import (
     MAX_CATALOG_N,
     Poset,
-    _dot_quote,
+    _hasse_lines,
     find_orthocomplementations,
     poset_from_json,
     poset_of_family,
@@ -29,10 +30,10 @@ from .poset import (
 from .represent import (
     SUITES,
     SWEEP_CAP,
+    _correspondence,
     check_poset,
-    ortho_correspondence,
-    represent,
     represent_distributive,
+    represent_general,
     represent_orthoposet,
     stone,
     sweep_catalog,
@@ -74,23 +75,14 @@ def _emit_text(text: str, out_path) -> None:
 
 def _side_by_side_dot(poset: Poset, family) -> str:
     """The input Hasse diagram next to its represented family."""
-    fam = poset_of_family(family)
     lines = ["digraph representation {", "  rankdir=BT;"]
     lines.append("  subgraph cluster_input {")
     lines.append('    label="input order";')
-    for i, lab in enumerate(poset.labels):
-        lines.append(f'    p{i} [label="{_dot_quote(lab)}"];')
-    for i in range(poset.n):
-        for j in bits(poset.covers[i]):
-            lines.append(f"    p{i} -> p{j};")
+    lines += _hasse_lines(poset, "p", "    ")
     lines.append("  }")
     lines.append("  subgraph cluster_family {")
     lines.append('    label="closed-open family";')
-    for i, lab in enumerate(fam.labels):
-        lines.append(f'    f{i} [label="{_dot_quote(lab)}"];')
-    for i in range(fam.n):
-        for j in bits(fam.covers[i]):
-            lines.append(f"    f{i} -> f{j};")
+    lines += _hasse_lines(poset_of_family(family), "f", "    ")
     lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -119,7 +111,7 @@ def _cmd_dual(args) -> int:
 def _cmd_represent(args) -> int:
     poset = _load_poset(args.poset)
     if args.kind == "general":
-        _, family, report = represent(poset, args.dual_cap)
+        _, family, report = represent_general(poset, args.dual_cap)
     elif args.kind == "distributive":
         _, family, report = represent_distributive(poset, args.dual_cap)
     else:
@@ -152,7 +144,7 @@ def _cmd_ortho(args) -> int:
     code = 0
     star = dual_space(poset, args.dual_cap)
     if poset.is_bounded() and star.size <= args.s_cap:
-        ok, detail = ortho_correspondence(poset, args.s_cap, args.dual_cap)
+        ok, detail = _correspondence(poset, orthos, args.s_cap, args.dual_cap)
         payload["correspondence"] = detail
         if not ok:
             code = 1
@@ -209,10 +201,7 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     poset = _load_poset(args.poset)
-    star = dual_space(poset, args.dual_cap)
-    from .closure import closed_open_family, induced_closures
-
-    c1, c2 = induced_closures(star)
+    c1, c2 = induced_closures(dual_space(poset, args.dual_cap))
     family = closed_open_family(c1, c2)
     _emit_text(_side_by_side_dot(poset, family), args.out)
     return 0

@@ -19,11 +19,12 @@ from functools import cached_property
 from .errors import CarrierMismatch, MemberOutOfRange
 from .poset import SubsetFamily
 
-EAGER_CARRIER_LIMIT = 20
-
 
 class ClosureOperator:
-    """Closure on {0..m-1} whose closed sets are intersections of a base."""
+    """Closure on {0..m-1} whose closed sets are intersections of a base.
+
+    The closed family is built on first use; ``apply`` needs only the base.
+    """
 
     def __init__(self, m: int, base):
         if not isinstance(base, SubsetFamily):
@@ -33,10 +34,6 @@ class ClosureOperator:
         self.m = m
         self.full = (1 << m) - 1
         self.base = base
-        # materializing the closed family is cheap at desk scale; above the
-        # limit it stays lazy and only predicates that need it will pay
-        if m <= EAGER_CARRIER_LIMIT:
-            self.closed_family
 
     @cached_property
     def closed_family(self) -> SubsetFamily:
@@ -91,10 +88,6 @@ class ClosureOperator:
         return f"ClosureOperator(m={self.m}, base of {len(self.base)})"
 
 
-def closure_from_base(m: int, base) -> ClosureOperator:
-    return ClosureOperator(m, base)
-
-
 def clopen_sets(c: ClosureOperator) -> SubsetFamily:
     """Members closed together with their complement."""
     family = set(c.closed_family.members)
@@ -121,9 +114,3 @@ def induced_closures(subspace) -> tuple:
     ups = [subspace.up_image(p) for p in range(n)]
     los = [subspace.lo_image(p) for p in range(n)]
     return ClosureOperator(m, ups), ClosureOperator(m, los)
-
-
-def closures_equal(c1: ClosureOperator, c2: ClosureOperator) -> bool:
-    if c1.m != c2.m:
-        raise CarrierMismatch("operators live on different carriers")
-    return c1.closed_family == c2.closed_family

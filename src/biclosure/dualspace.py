@@ -15,13 +15,13 @@ return the full carrier as the empty intersection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
+from operator import and_
 from typing import NamedTuple, Optional
 
 from .bitops import bits
 from .errors import BoundExceeded, InvalidOrthoMap, NotALattice, NotBounded
-from .poset import OrthoMap, Poset
+from .poset import OrthoMap, Poset, SubsetFamily
 
 DUAL_POINT_CAP = 1 << 20
 
@@ -167,24 +167,6 @@ def lattice_dual(poset: Poset, cap: int = DUAL_POINT_CAP) -> Subspace:
 # --- ideals and filters relative to a subspace -------------------------------
 
 
-@dataclass(frozen=True)
-class IdealFamily:
-    """All A-ideals (or A-filters) of a subspace A, in sorted mask order."""
-
-    subspace: Subspace
-    role: str  # "ideal" or "filter"
-    members: tuple
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self):
-        return len(self.members)
-
-    def __contains__(self, x):
-        return x in self.members
-
-
 def _intersection_closure(generators) -> tuple:
     family: set = set()
     for g in generators:
@@ -192,15 +174,15 @@ def _intersection_closure(generators) -> tuple:
     return tuple(sorted(family))
 
 
-def ideals_wrt(subspace: Subspace) -> IdealFamily:
+def ideals_wrt(subspace: Subspace) -> SubsetFamily:
+    """All A-ideals of the subspace A, in sorted mask order."""
     kernels = [subspace.kernel(i) for i in range(subspace.size)]
-    return IdealFamily(subspace, "ideal", _intersection_closure(kernels))
+    return SubsetFamily(subspace.poset.n, _intersection_closure(kernels))
 
 
-def filters_wrt(subspace: Subspace) -> IdealFamily:
-    return IdealFamily(
-        subspace, "filter", _intersection_closure(subspace.points)
-    )
+def filters_wrt(subspace: Subspace) -> SubsetFamily:
+    """All A-filters of the subspace A, in sorted mask order."""
+    return SubsetFamily(subspace.poset.n, _intersection_closure(subspace.points))
 
 
 def ideal_of(subspace: Subspace, point_indices: int) -> int:
@@ -229,25 +211,25 @@ class Hull(NamedTuple):
     found: bool
 
 
+def _hull(family: SubsetFamily, subset: int, carrier: int) -> Hull:
+    holding = [m for m in family.members if subset & ~m == 0]
+    if not holding:
+        return Hull(carrier, False)
+    return Hull(reduce(and_, holding), True)
+
+
 def generated_ideal(
-    subspace: Subspace, subset: int, family: Optional[IdealFamily] = None
+    subspace: Subspace, subset: int, family: Optional[SubsetFamily] = None
 ) -> Hull:
     """Smallest A-ideal containing ``subset``, if any contains it at all."""
-    members = (family or ideals_wrt(subspace)).members
-    holding = [m for m in members if subset & ~m == 0]
-    if not holding:
-        return Hull(subspace.poset.full, False)
-    return Hull(reduce(lambda a, b: a & b, holding), True)
+    return _hull(family or ideals_wrt(subspace), subset, subspace.poset.full)
 
 
 def generated_filter(
-    subspace: Subspace, subset: int, family: Optional[IdealFamily] = None
+    subspace: Subspace, subset: int, family: Optional[SubsetFamily] = None
 ) -> Hull:
-    members = (family or filters_wrt(subspace)).members
-    holding = [m for m in members if subset & ~m == 0]
-    if not holding:
-        return Hull(subspace.poset.full, False)
-    return Hull(reduce(lambda a, b: a & b, holding), True)
+    """Smallest A-filter containing ``subset``, if any contains it at all."""
+    return _hull(family or filters_wrt(subspace), subset, subspace.poset.full)
 
 
 # --- separation properties ----------------------------------------------------

@@ -141,17 +141,7 @@ class Poset:
 
     @cached_property
     def _join_table(self):
-        table = [[None] * self.n for _ in range(self.n)]
-        for p in range(self.n):
-            for q in range(p, self.n):
-                common = self.up[p] & self.up[q]
-                found = None
-                for c in bits(common):
-                    if common & ~self.up[c] == 0:
-                        found = c
-                        break
-                table[p][q] = table[q][p] = found
-        return table
+        return self.opposite()._meet_table
 
     def meet(self, p: int, q: int):
         """Greatest lower bound, or None when the pair has none."""
@@ -193,6 +183,10 @@ class Poset:
         return True
 
     # --- misc -------------------------------------------------------------
+
+    def opposite(self) -> "Poset":
+        """The same labels under the reversed order: up and down swap."""
+        return Poset(self.labels, self.down)
 
     def __eq__(self, other):
         return (
@@ -533,13 +527,21 @@ def _dot_quote(label: str) -> str:
     return label.replace("\\", "\\\\").replace('"', '\\"')
 
 
+def _hasse_lines(poset: Poset, prefix: str, indent: str) -> list:
+    """DOT node and covering-edge lines, nodes named prefix + index."""
+    lines = [
+        f'{indent}{prefix}{i} [label="{_dot_quote(lab)}"];'
+        for i, lab in enumerate(poset.labels)
+    ]
+    for i in range(poset.n):
+        for j in bits(poset.covers[i]):
+            lines.append(f"{indent}{prefix}{i} -> {prefix}{j};")
+    return lines
+
+
 def poset_to_dot(poset: Poset, name: str = "poset") -> str:
     """Hasse diagram in DOT, edges directed low to high."""
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
-    for i, lab in enumerate(poset.labels):
-        lines.append(f'  n{i} [label="{_dot_quote(lab)}"];')
-    for i in range(poset.n):
-        for j in bits(poset.covers[i]):
-            lines.append(f"  n{i} -> n{j};")
+    lines += _hasse_lines(poset, "n", "  ")
     lines.append("}")
     return "\n".join(lines) + "\n"

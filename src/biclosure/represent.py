@@ -24,13 +24,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .bitops import and_fold, and_tables, bits
-from .closure import (
-    ClosureOperator,
-    clopen_sets,
-    closed_open_family,
-    closures_equal,
-    induced_closures,
-)
+from .closure import ClosureOperator, closed_open_family, induced_closures
 from .dualspace import (
     DUAL_POINT_CAP,
     Subspace,
@@ -64,11 +58,6 @@ from .poset import (
 )
 
 SWEEP_CAP = 14
-
-
-def up_image(subspace: Subspace, p: int) -> int:
-    """The canonical image of element p: all points of A that are 1 at p."""
-    return subspace.up_image(p)
 
 
 # --- representation reports ---------------------------------------------------
@@ -130,9 +119,13 @@ def representation_report(poset: Poset, subspace: Subspace) -> RepresentationRep
     separating flags are computed independently so callers can confirm
     the expected implications rather than assume them.
     """
+    return _report(poset, subspace, *induced_closures(subspace))
+
+
+def _report(poset: Poset, subspace: Subspace, c1, c2) -> RepresentationReport:
+    """``representation_report`` over the subspace's induced closures c1, c2."""
     n = poset.n
     table = tuple(subspace.up_image(p) for p in range(n))
-    c1, c2 = induced_closures(subspace)
     family = closed_open_family(c1, c2)
     witnesses: dict = {}
 
@@ -208,14 +201,14 @@ def representation_report(poset: Poset, subspace: Subspace) -> RepresentationRep
         full=full_ok,
         separating=sep_ok,
         consistent=consistent,
-        closures_coincide=closures_equal(c1, c2),
+        closures_coincide=c1 == c2,
         exact=(c1.is_exact(), c2.is_exact()),
         topological=(c1.is_topological(), c2.is_topological()),
         witnesses=witnesses,
     )
 
 
-def represent(poset: Poset, dual_cap: int = DUAL_POINT_CAP):
+def represent_general(poset: Poset, dual_cap: int = DUAL_POINT_CAP):
     """Represent P inside the closed-open family of its full dual space.
 
     Returns (subspace, family, report). The isomorphism holds for every
@@ -251,27 +244,66 @@ class StoneSpace:
     kernels: tuple
 
 
+def _require(laws: dict, what: str) -> None:
+    """Raise RuntimeError naming every failed law; a failure is a bug."""
+    failed = [name for name, ok in laws.items() if not ok]
+    if failed:
+        raise RuntimeError(f"{what} failed: {', '.join(failed)}")
+
+
+def _ortho_laws(poset: Poset, ortho: OrthoMap, report: RepresentationReport) -> dict:
+    """Laws of the orthodual of ``ortho``, read from its report."""
+    space = report.subspace
+    table = report.sigma_table
+    ideals, filters = ideals_wrt(space), filters_wrt(space)
+    return {
+        "closures_coincide": report.closures_coincide,
+        "isomorphism": report.isomorphism,
+        "complement_as_set_complement": all(
+            table[ortho(p)] == space.all_mask ^ table[p] for p in range(poset.n)
+        ),
+        "cones": all(
+            generated_ideal(space, 1 << p, ideals).subset == poset.down[p]
+            and generated_filter(space, 1 << p, filters).subset == poset.up[p]
+            for p in range(poset.n)
+        ),
+    }
+
+
+def _distributive_laws(report: RepresentationReport) -> dict:
+    """Laws of the morphism dual of a distributive lattice."""
+    return {
+        "topological": all(report.topological),
+        "isomorphism": report.isomorphism,
+    }
+
+
+def _point_space_laws(report: RepresentationReport) -> dict:
+    """Laws of the constant-free morphism dual of a Boolean lattice."""
+    return {
+        "closures_coincide": report.closures_coincide,
+        "exact": all(report.exact),
+        "topological": all(report.topological),
+        "isomorphism": report.isomorphism,
+    }
+
+
 def represent_orthoposet(
     poset: Poset, ortho: OrthoMap, dual_cap: int = DUAL_POINT_CAP
 ):
     """Clopen representation over the orthodual of an orthocomplementation.
 
     The two induced closures coincide, the clopen family of the common
-    closure recovers the poset, and the orthocomplementation turns into
-    set complementation. All three facts are verified; a failure is a
-    bug and raises RuntimeError.
+    closure recovers the poset, the orthocomplementation turns into set
+    complementation and generated cones into order cones. All of this
+    is verified; a failure is a bug and raises RuntimeError.
     """
     space = orthodual_space(poset, ortho, dual_cap)
     c1, c2 = induced_closures(space)
-    if not closures_equal(c1, c2):
-        raise RuntimeError("orthodual closures differ")
-    report = representation_report(poset, space)
-    if not report.isomorphism:
-        raise RuntimeError("orthodual representation failed")
-    for p in range(poset.n):
-        if space.up_image(ortho(p)) != space.all_mask ^ space.up_image(p):
-            raise RuntimeError("complementation is not realized as set complement")
-    return ClosureSpace(space, c1, clopen_sets(c1)), report
+    report = _report(poset, space, c1, c2)
+    _require(_ortho_laws(poset, ortho, report), "orthodual representation")
+    # with coinciding closures the closed-open family is c1's clopen family
+    return ClosureSpace(space, c1, report.family), report
 
 
 def represent_distributive(poset: Poset, dual_cap: int = DUAL_POINT_CAP):
@@ -280,12 +312,8 @@ def represent_distributive(poset: Poset, dual_cap: int = DUAL_POINT_CAP):
     if not poset.is_distributive():
         raise NotDistributive("morphism-dual representation needs distributivity")
     morph = lattice_dual(poset, dual_cap)
-    c1, c2 = induced_closures(morph)
-    if not (c1.is_topological() and c2.is_topological()):
-        raise RuntimeError("morphism-dual closures are not topological")
     report = representation_report(poset, morph)
-    if not report.isomorphism:
-        raise RuntimeError("morphism-dual representation failed")
+    _require(_distributive_laws(report), "morphism-dual representation")
     return morph, report.family, report
 
 
@@ -299,16 +327,18 @@ def stone(poset: Poset, dual_cap: int = DUAL_POINT_CAP) -> StoneSpace:
     if not poset.is_boolean():
         raise NotBoolean("point-space construction needs a Boolean lattice")
     points = remove_constants(lattice_dual(poset, dual_cap))
-    c1, c2 = induced_closures(points)
-    if not closures_equal(c1, c2):
-        raise RuntimeError("point-space closures differ")
-    if not c1.is_exact() or not c1.is_topological():
-        raise RuntimeError("point-space closure is not an exact topology")
-    report = representation_report(poset, points)
-    if not report.isomorphism:
-        raise RuntimeError("point-space representation failed")
+    space, laws = _stone(poset, points, *induced_closures(points))
+    _require(laws, "point-space representation")
+    return space
+
+
+def _stone(poset: Poset, points: Subspace, c1, c2):
+    """The point space over ``points`` with its closures c1, c2, and its
+    laws; the clopen algebra is the closed-open family, which is c1's
+    clopen family once the closures coincide."""
+    report = _report(poset, points, c1, c2)
     kernels = tuple(points.kernel(i) for i in range(points.size))
-    return StoneSpace(points, c1, clopen_sets(c1), kernels)
+    return StoneSpace(points, c1, report.family, kernels), _point_space_laws(report)
 
 
 # --- subspaces inducing orthocomplementations -----------------------------------
@@ -410,7 +440,7 @@ def induced_orthocomplementation(subspace: Subspace) -> OrthoMap:
     if not is_separating(subspace)[0]:
         raise NotSelfdual("subspace is not separating")
     c1, c2 = induced_closures(subspace)
-    if not closures_equal(c1, c2):
+    if c1 != c2:
         raise NotSelfdual("the two induced closures differ")
     table = [subspace.up_image(p) for p in range(poset.n)]
     where = {img: p for p, img in enumerate(table)}
@@ -436,7 +466,12 @@ def ortho_correspondence(
     """
     if not poset.is_bounded():
         raise NotBounded("the correspondence is stated for bounded posets")
-    orthos = find_orthocomplementations(poset)
+    return _correspondence(poset, find_orthocomplementations(poset), cap, dual_cap)
+
+
+def _correspondence(poset: Poset, orthos: list, cap: int, dual_cap: int):
+    """``ortho_correspondence`` for a bounded poset whose
+    orthocomplementations ``orthos`` are already known."""
     spaces = selfdual_subspaces(poset, cap, dual_cap)
     maxima = maximal_subspaces(spaces)
     max_points = {a.points for a in maxima}
@@ -502,24 +537,14 @@ def _subset_labels(poset: Poset, mask: int) -> list:
 
 
 def _lattice_ideals(poset: Poset) -> list:
+    """Down-sets closed under binary joins, empty set included; the lattice
+    filters are the lattice ideals of ``poset.opposite()``."""
     out = []
     for d in range(1 << poset.n):
         ok = all(poset.down[i] & ~d == 0 for i in bits(d))
         if ok:
             items = list(bits(d))
             ok = all(d >> poset.join(i, j) & 1 for i in items for j in items)
-        if ok:
-            out.append(d)
-    return out
-
-
-def _lattice_filters(poset: Poset) -> list:
-    out = []
-    for d in range(1 << poset.n):
-        ok = all(poset.up[i] & ~d == 0 for i in bits(d))
-        if ok:
-            items = list(bits(d))
-            ok = all(d >> poset.meet(i, j) & 1 for i in items for j in items)
         if ok:
             out.append(d)
     return out
@@ -612,6 +637,7 @@ def check_poset(
             )
         )
 
+        # a fresh pair, not the report's: reusing that one measured slower
         c1, c2 = induced_closures(star)
         eq_ok, eq_wit = _closure_formula_agrees(
             star, c1, c2, _subset_sample(star.size)
@@ -660,29 +686,12 @@ def check_poset(
                 )
             )
 
-    if suite in ("all", "ortho"):
-        orthos = find_orthocomplementations(poset) if bounded else []
+    if suite in ("all", "ortho") and bounded:
+        orthos = find_orthocomplementations(poset)
         for k, f in enumerate(orthos):
-            space = orthodual_space(poset, f, dual_cap)
-            oc1, oc2 = induced_closures(space)
-            rep3 = representation_report(poset, space)
-            complement_ok = all(
-                space.up_image(f(p)) == space.all_mask ^ space.up_image(p)
-                for p in range(poset.n)
-            )
-            fam_ideals = ideals_wrt(space)
-            fam_filters = filters_wrt(space)
-            cones_ok = all(
-                generated_ideal(space, 1 << p, fam_ideals).subset == poset.down[p]
-                and generated_filter(space, 1 << p, fam_filters).subset == poset.up[p]
-                for p in range(poset.n)
-            )
-            ok = (
-                rep3.closures_coincide
-                and rep3.isomorphism
-                and complement_ok
-                and cones_ok
-            )
+            rep3 = representation_report(poset, orthodual_space(poset, f, dual_cap))
+            laws = _ortho_laws(poset, f, rep3)
+            ok = all(laws.values())
             checks.append(
                 CheckResult(
                     f"ortho-representation-{k}",
@@ -690,18 +699,11 @@ def check_poset(
                     "recovers the poset, complementation becoming set "
                     "complement and generated cones the order cones",
                     ok,
-                    None
-                    if ok
-                    else {
-                        "closures_coincide": rep3.closures_coincide,
-                        "isomorphism": rep3.isomorphism,
-                        "complement_as_set_complement": complement_ok,
-                        "cones": cones_ok,
-                    },
+                    None if ok else laws,
                 )
             )
-        if bounded and star.size <= sweep_cap:
-            ok, detail = ortho_correspondence(poset, sweep_cap, dual_cap)
+        if star.size <= sweep_cap:
+            ok, detail = _correspondence(poset, orthos, sweep_cap, dual_cap)
             checks.append(
                 CheckResult(
                     "ortho-correspondence",
@@ -714,22 +716,25 @@ def check_poset(
 
     is_lat = poset.is_lattice()
     is_dist = is_lat and poset.is_distributive()
+    want_dist = suite in ("all", "distributive") and is_lat
+    want_bool = suite in ("all", "boolean") and is_dist
+    morph = lattice_dual(poset, dual_cap) if want_dist or want_bool else None
 
-    if suite in ("all", "distributive") and is_lat:
-        morph = lattice_dual(poset, dual_cap)
-        fullsep = is_full(morph)[0] and is_separating(morph)[0]
+    if want_dist:
+        repd = representation_report(poset, morph)
+        fullsep = repd.full and repd.separating
         checks.append(
             CheckResult(
                 "distributive-iff-full-separating",
                 "the lattice is distributive exactly when its morphism dual "
                 "is full and separating",
-                poset.is_distributive() == fullsep,
-                {"distributive": poset.is_distributive(), "full_separating": fullsep},
+                is_dist == fullsep,
+                {"distributive": is_dist, "full_separating": fullsep},
             )
         )
         if is_dist and poset.n <= 16:
             li = tuple(sorted(_lattice_ideals(poset)))
-            lf = tuple(sorted(_lattice_filters(poset)))
+            lf = tuple(sorted(_lattice_ideals(poset.opposite())))
             ok = (
                 ideals_wrt(morph).members == li
                 and filters_wrt(morph).members == lf
@@ -744,13 +749,7 @@ def check_poset(
                 )
             )
         if is_dist:
-            mc1, mc2 = induced_closures(morph)
-            repd = representation_report(poset, morph)
-            ok = (
-                mc1.is_topological()
-                and mc2.is_topological()
-                and repd.isomorphism
-            )
+            ok = all(_distributive_laws(repd).values())
             checks.append(
                 CheckResult(
                     "distributive-representation",
@@ -761,10 +760,10 @@ def check_poset(
                 )
             )
 
-    if suite in ("all", "boolean") and is_dist:
-        trimmed = remove_constants(lattice_dual(poset, dual_cap))
+    if want_bool:
+        trimmed = remove_constants(morph)
         tc1, tc2 = induced_closures(trimmed)
-        coincide = closures_equal(tc1, tc2)
+        coincide = tc1 == tc2
         checks.append(
             CheckResult(
                 "boolean-iff-coincident-closures",
@@ -775,7 +774,7 @@ def check_poset(
             )
         )
         if poset.is_boolean():
-            space = stone(poset, dual_cap)
+            space, laws = _stone(poset, trimmed, tc1, tc2)
             atoms = [
                 i
                 for i in range(poset.n)
@@ -792,9 +791,18 @@ def check_poset(
                         for m in ideals
                     ):
                         kernels_ok = False
+            laws_ok = all(laws.values())
             point_count_ok = space.subspace.size == len(atoms)
             clopen_ok = len(space.clopen) == poset.n
-            ok = kernels_ok and point_count_ok and clopen_ok
+            ok = laws_ok and kernels_ok and point_count_ok and clopen_ok
+            witness = {
+                "points": space.subspace.size,
+                "atoms": len(atoms),
+                "clopen": len(space.clopen),
+                "kernels_maximal_ideals": kernels_ok,
+            }
+            if not laws_ok:
+                witness["laws"] = laws
             checks.append(
                 CheckResult(
                     "stone-representation",
@@ -802,12 +810,7 @@ def check_poset(
                     "its clopen algebra matches the lattice, and every kernel "
                     "is a maximal lattice ideal",
                     ok,
-                    {
-                        "points": space.subspace.size,
-                        "atoms": len(atoms),
-                        "clopen": len(space.clopen),
-                        "kernels_maximal_ideals": kernels_ok,
-                    },
+                    witness,
                 )
             )
 

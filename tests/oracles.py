@@ -251,6 +251,22 @@ def brute_lattice_ideals(poset):
     return out
 
 
+def brute_lattice_filters(poset):
+    """Up-sets closed under naive binary meet, the empty set included."""
+    n = poset.n
+    leq = leq_fn(poset)
+    out = set()
+    for r in range(n + 1):
+        for combo in itertools.combinations(range(n), r):
+            s = set(combo)
+            if any(leq(z, w) and w not in s for z in s for w in range(n)):
+                continue
+            if any(naive_meet(n, leq, a, b) not in s for a in s for b in s):
+                continue
+            out.add(frozenset(s))
+    return out
+
+
 def brute_is_distributive(poset):
     n = poset.n
     leq = leq_fn(poset)

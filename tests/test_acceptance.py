@@ -13,7 +13,6 @@ import pytest
 from biclosure import (
     are_isomorphic,
     boolean_algebra,
-    closures_equal,
     dual_space,
     filter_of,
     find_orthocomplementations,
@@ -152,7 +151,7 @@ def test_criterion_4_ortho_representation(catalog4, catalog5, catalog6):
                 space.up_image(f(p)) == space.all_mask ^ space.up_image(p)
                 for p in range(poset.n)
             )
-            if not (closures_equal(oc1, oc2) and rep.isomorphism
+            if not (oc1 == oc2 and rep.isomorphism
                     and complement_ok):
                 failures.append((poset.labels, f.to_json()))
     ok = not failures and checked > 0
@@ -231,7 +230,7 @@ def test_criterion_7_stone_spaces():
         checks = (
             space.subspace.size == atoms,
             len(space.clopen) == clopens,
-            closures_equal(c1, c2),
+            c1 == c2,
             c1.is_topological(),
             c1.is_exact(),
         )
@@ -251,7 +250,8 @@ def test_criterion_8_boolean_iff_coincident(catalog4, catalog5, catalog6):
             continue
         distributives += 1
         trimmed = remove_constants(lattice_dual(poset))
-        coincide = closures_equal(*induced_closures(trimmed))
+        tc1, tc2 = induced_closures(trimmed)
+        coincide = tc1 == tc2
         if coincide != poset.is_boolean():
             failures.append(poset.labels)
     ok = not failures and distributives > 0

@@ -1,0 +1,43 @@
+import types
+
+import biclosure
+
+DELETED = (
+    "EAGER_CARRIER_LIMIT",
+    "IdealFamily",
+    "closure_from_base",
+    "closures_equal",
+    "up_image",
+)
+
+
+def test_submodule_import_gives_the_module():
+    import biclosure.represent as m
+
+    assert isinstance(m, types.ModuleType)
+    assert callable(m.check_poset)
+    assert isinstance(biclosure.represent, types.ModuleType)
+
+
+def test_public_names_resolve_and_are_unique():
+    names = biclosure.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert getattr(biclosure, name, None) is not None, name
+
+
+def test_deleted_names_are_gone():
+    import biclosure.closure
+    import biclosure.dualspace
+
+    for name in DELETED:
+        assert name not in biclosure.__all__
+        for mod in (
+            biclosure,
+            biclosure.closure,
+            biclosure.dualspace,
+            biclosure.represent,
+        ):
+            assert not hasattr(mod, name), (mod.__name__, name)
+    assert "represent" not in biclosure.__all__
+    assert callable(biclosure.represent_general)

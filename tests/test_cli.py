@@ -215,3 +215,24 @@ def test_dot_flag_writes_a_diagram_next_to_the_report(tmp_path, capsys):
 
 def test_no_verb_is_usage_error(capsys):
     assert run(capsys, )[0] == 2
+
+
+def test_ortho_scans_orthocomplementations_once(capsys, monkeypatch):
+    import biclosure.cli as cli
+    import biclosure.represent as represent_module
+
+    calls = []
+    for module in (cli, represent_module):
+        original = module.find_orthocomplementations
+
+        def counted(poset, original=original):
+            calls.append(poset)
+            return original(poset)
+
+        monkeypatch.setattr(module, "find_orthocomplementations", counted)
+    code, out, _ = run(capsys, "ortho", B4)
+    assert code == 0
+    data = json.loads(out)
+    assert data["count"] == 1
+    assert data["correspondence"]["matched"] is True
+    assert len(calls) == 1

@@ -10,8 +10,6 @@ from biclosure import (
     chain,
     clopen_sets,
     closed_open_family,
-    closure_from_base,
-    closures_equal,
     dual_space,
     enumerate_posets,
     induced_closures,
@@ -37,7 +35,7 @@ def carriers_with_bases(draw, max_m=6, max_base=5):
 @given(carriers_with_bases())
 def test_closure_axioms(mb):
     m, base = mb
-    c = closure_from_base(m, base)
+    c = ClosureOperator(m, base)
     full = (1 << m) - 1
     for x in range(1 << m):
         cx = c.apply(x)
@@ -54,7 +52,7 @@ def test_closure_axioms(mb):
 @given(carriers_with_bases())
 def test_apply_matches_brute_family_minimum(mb):
     m, base = mb
-    c = closure_from_base(m, base)
+    c = ClosureOperator(m, base)
     base_sets = [set(bits(b)) for b in base]
     for x in range(1 << m):
         want = oracles.brute_closure_apply(m, base_sets, set(bits(x)))
@@ -65,7 +63,7 @@ def test_apply_matches_brute_family_minimum(mb):
 @given(carriers_with_bases())
 def test_closed_family_matches_brute_intersections(mb):
     m, base = mb
-    c = closure_from_base(m, base)
+    c = ClosureOperator(m, base)
     want = oracles.brute_closed_family(m, [set(bits(b)) for b in base])
     assert {frozenset(bits(x)) for x in c.closed_family} == want
 
@@ -74,7 +72,7 @@ def test_closed_family_matches_brute_intersections(mb):
 @given(carriers_with_bases())
 def test_closed_family_is_exactly_the_fixed_points(mb):
     m, base = mb
-    c = closure_from_base(m, base)
+    c = ClosureOperator(m, base)
     fixed = {x for x in range(1 << m) if c.apply(x) == x}
     assert set(c.closed_family) == fixed
 
@@ -83,15 +81,15 @@ def test_closed_family_is_exactly_the_fixed_points(mb):
 
 
 def test_exactness_means_empty_set_is_closed():
-    assert closure_from_base(3, [0b001, 0b010]).is_exact()  # 001 & 010 = 0
-    assert not closure_from_base(3, [0b011, 0b110]).is_exact()
+    assert ClosureOperator(3, [0b001, 0b010]).is_exact()  # 001 & 010 = 0
+    assert not ClosureOperator(3, [0b011, 0b110]).is_exact()
 
 
 @settings(max_examples=100)
 @given(carriers_with_bases(max_m=5))
 def test_topological_means_union_distributes(mb):
     m, base = mb
-    c = closure_from_base(m, base)
+    c = ClosureOperator(m, base)
     unions_ok = all(
         c.apply(x | y) == c.apply(x) | c.apply(y)
         for x in range(1 << m)
@@ -101,7 +99,7 @@ def test_topological_means_union_distributes(mb):
 
 
 def test_is_closed_distinguishes():
-    c = closure_from_base(3, [0b011])
+    c = ClosureOperator(3, [0b011])
     assert c.is_closed(0b011)
     assert c.is_closed(0b111)
     assert not c.is_closed(0b001)
@@ -112,28 +110,28 @@ def test_is_closed_distinguishes():
 
 def test_base_members_must_fit_carrier():
     with pytest.raises(MemberOutOfRange):
-        closure_from_base(2, [0b100])
+        ClosureOperator(2, [0b100])
 
 
 def test_apply_rejects_stray_bits():
-    c = closure_from_base(2, [0b01])
+    c = ClosureOperator(2, [0b01])
     with pytest.raises(MemberOutOfRange):
         c.apply(0b100)
 
 
 def test_closed_open_family_needs_matching_carriers():
     with pytest.raises(CarrierMismatch):
-        closed_open_family(closure_from_base(2, []), closure_from_base(3, []))
+        closed_open_family(ClosureOperator(2, []), ClosureOperator(3, []))
 
 
 def test_equality_is_by_closed_family():
     # different bases, same family
-    a = closure_from_base(3, [0b011, 0b110, 0b010])
-    b = closure_from_base(3, [0b011, 0b110])
+    a = ClosureOperator(3, [0b011, 0b110, 0b010])
+    b = ClosureOperator(3, [0b011, 0b110])
     assert a == b
-    assert closures_equal(a, b)
+    assert b == a
     assert hash(a) == hash(b)
-    c = closure_from_base(3, [0b001])
+    c = ClosureOperator(3, [0b001])
     assert a != c
 
 
@@ -170,7 +168,7 @@ def test_clopen_counts_on_boolean_point_spaces():
     for k in (1, 2, 3):
         pts = remove_constants(lattice_dual(boolean_algebra(k)))
         c1, c2 = induced_closures(pts)
-        assert closures_equal(c1, c2)
+        assert c1 == c2
         assert len(clopen_sets(c1)) == 1 << k
 
 
@@ -178,16 +176,18 @@ def test_chain_closures_differ_but_family_survives():
     p = chain(3)
     star = dual_space(p)
     c1, c2 = induced_closures(star)
-    assert not closures_equal(c1, c2)
+    assert not c1 == c2
     assert len(closed_open_family(c1, c2)) == 3
 
 
-def test_eager_and_lazy_paths_agree():
-    import biclosure.closure as cl
-
-    base = [0b0110, 0b1100, 0b0011]
-    eager = ClosureOperator(4, base)
-    assert "closed_family" in eager.__dict__  # small carrier: built up front
-    lazy = ClosureOperator(cl.EAGER_CARRIER_LIMIT + 1, base)
-    assert "closed_family" not in lazy.__dict__
-    assert lazy.apply(0b0010) == eager.apply(0b0010)
+@pytest.mark.parametrize("m", [4, 21])
+def test_closed_family_is_built_on_first_use(m):
+    base = [0b0110, 0b1100, 0b0011, ((1 << m) - 1) ^ 0b1]
+    c = ClosureOperator(m, base)
+    sets = [set(bits(b)) for b in base]
+    for x in (0, 0b0010, 0b0101, 1 << (m - 1)):
+        want = oracles.brute_closure_apply(m, sets, set(bits(x)))
+        assert set(bits(c.apply(x))) == want
+    assert "closed_family" not in c.__dict__
+    assert len(c.closed_family) == len(oracles.brute_closed_family(m, sets))
+    assert "closed_family" in c.__dict__

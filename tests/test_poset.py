@@ -300,3 +300,16 @@ def test_antichain_relates_nothing(k):
 
 def test_boolean_algebra_element_count():
     assert [boolean_algebra(k).n for k in range(4)] == [1, 2, 4, 8]
+
+
+# --- order duality ------------------------------------------------------------------
+
+
+def test_opposite_swaps_up_and_down(catalog4, catalog5):
+    for p in catalog4 + catalog5:
+        op = p.opposite()
+        assert op.labels == p.labels
+        assert op.up == p.down
+        assert op.down == p.up
+        assert op.opposite() == p
+        assert op.bottom == p.top and op.top == p.bottom

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from biclosure import (
     BoundExceeded,
+    ClosureOperator,
     NotBoolean,
     NotBounded,
     NotDistributive,
@@ -13,7 +14,7 @@ from biclosure import (
     boolean_algebra,
     chain,
     check_poset,
-    closures_equal,
+    clopen_sets,
     dual_space,
     enumerate_posets,
     find_orthocomplementations,
@@ -24,15 +25,20 @@ from biclosure import (
     maximal_subspaces,
     ortho_correspondence,
     orthodual_space,
-    represent,
     represent_distributive,
+    represent_general,
     represent_orthoposet,
     representation_report,
     selfdual_subspaces,
     stone,
     sweep_catalog,
 )
-from biclosure.represent import _worker_count
+import biclosure.represent as represent_module
+from biclosure.bitops import bits
+from biclosure.dualspace import Hull
+from biclosure.represent import _lattice_ideals, _worker_count
+
+import oracles
 
 small_catalog = [p for n in range(1, 5) for p in enumerate_posets(n)]
 tiny_catalog = [p for n in range(1, 4) for p in enumerate_posets(n)]
@@ -43,7 +49,7 @@ tiny_catalog = [p for n in range(1, 4) for p in enumerate_posets(n)]
 
 def test_full_dual_representation_is_an_isomorphism():
     for p in small_catalog:
-        star, family, report = represent(p)
+        star, family, report = represent_general(p)
         assert report.isomorphism
         assert len(family) == p.n
         assert report.full and report.separating
@@ -114,7 +120,7 @@ def test_report_witnesses_point_at_failures(b4):
 def test_report_json_is_serializable(b4):
     import json
 
-    _, _, report = represent(b4)
+    _, _, report = represent_general(b4)
     text = json.dumps(report.to_json(), sort_keys=True)
     assert '"isomorphism": true' in text
 
@@ -201,7 +207,8 @@ def brute_selfdual(poset):
             continue
         if not is_separating(sub)[0]:
             continue
-        if not closures_equal(*induced_closures(sub)):
+        c1, c2 = induced_closures(sub)
+        if c1 != c2:
             continue
         out.append(sub)
     return out
@@ -246,7 +253,8 @@ def test_unbounded_posets_can_have_selfdual_subspaces(vee):
     assert len(found) == 1
     sub = found[0]
     assert is_full(sub)[0] and is_separating(sub)[0]
-    assert closures_equal(*induced_closures(sub))
+    c1, c2 = induced_closures(sub)
+    assert c1 == c2
     with pytest.raises(NotBounded):
         induced_orthocomplementation(sub)
     with pytest.raises(NotBounded):
@@ -366,3 +374,100 @@ def test_every_catalog_class_passes_the_full_battery():
     failing = [r for r in reports if not r.all_passed]
     assert not failing, [c.to_json() for r in failing for c in r.checks
                          if not c.passed][:3]
+
+
+# --- one build per object, one checker per law ----------------------------------------
+
+
+def count_calls(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_check_poset_scans_orthocomplementations_once(monkeypatch):
+    calls = []
+    count_calls(monkeypatch, represent_module, "find_orthocomplementations", calls)
+    report = check_poset(chain(5))
+    assert report.all_passed
+    assert any(c.name == "ortho-correspondence" for c in report.checks)
+    assert len(calls) == 1
+
+
+def test_check_poset_builds_the_morphism_dual_once(monkeypatch):
+    calls = []
+    count_calls(monkeypatch, represent_module, "lattice_dual", calls)
+    report = check_poset(boolean_algebra(3))
+    assert report.all_passed
+    assert any(c.name == "stone-representation" for c in report.checks)
+    assert len(calls) == 1
+
+
+def test_lattice_ideals_and_filters_match_naive_oracles(catalog4, catalog5, catalog6):
+    lattices = [p for p in catalog4 + catalog5 + catalog6 if p.is_lattice()]
+    assert len(lattices) == 25
+    for p in lattices:
+        filters = {frozenset(bits(d)) for d in _lattice_ideals(p.opposite())}
+        assert filters == oracles.brute_lattice_filters(p)
+        ideals = {frozenset(bits(d)) for d in _lattice_ideals(p)}
+        assert ideals == oracles.brute_lattice_ideals(p)
+
+
+def test_builder_families_are_clopen_families(b4, m4):
+    for p in (b4, m4):
+        for f in find_orthocomplementations(p):
+            space, _ = represent_orthoposet(p, f)
+            assert space.clopen == clopen_sets(space.closure)
+    for k in (1, 2, 3):
+        space = stone(boolean_algebra(k))
+        assert space.clopen == clopen_sets(space.closure)
+
+
+def test_failed_topology_is_named_by_builders_and_checks(monkeypatch):
+    monkeypatch.setattr(ClosureOperator, "is_topological", lambda self: False)
+    with pytest.raises(RuntimeError, match="topological"):
+        represent_distributive(chain(3))
+    with pytest.raises(RuntimeError, match="topological"):
+        stone(boolean_algebra(2))
+    report = check_poset(chain(3), suite="distributive")
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == ["distributive-representation"]
+    assert failed[0].witness["flags"]["topological"] == [False, False]
+
+
+def test_failed_exactness_is_named_by_stone_and_checks(monkeypatch):
+    monkeypatch.setattr(ClosureOperator, "is_exact", lambda self: False)
+    with pytest.raises(RuntimeError, match="exact"):
+        stone(boolean_algebra(2))
+    report = check_poset(boolean_algebra(2), suite="boolean")
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == ["stone-representation"]
+    laws = failed[0].witness["laws"]
+    assert laws == {
+        "closures_coincide": True,
+        "exact": False,
+        "topological": True,
+        "isomorphism": True,
+    }
+
+
+def test_failed_cones_are_named_by_builders_and_checks(monkeypatch, b4):
+    monkeypatch.setattr(
+        represent_module, "generated_filter", lambda *args: Hull(0, True)
+    )
+    f = find_orthocomplementations(b4)[0]
+    with pytest.raises(RuntimeError, match="cones"):
+        represent_orthoposet(b4, f)
+    report = check_poset(b4, suite="ortho")
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == ["ortho-representation-0"]
+    assert failed[0].witness == {
+        "closures_coincide": True,
+        "isomorphism": True,
+        "complement_as_set_complement": True,
+        "cones": False,
+    }
