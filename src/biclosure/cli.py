@@ -56,21 +56,16 @@ def _load_poset(arg: str) -> Poset:
     return poset_from_json(data)
 
 
-def _emit_json(payload, out_path) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _emit_text(text: str, out_path) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_json(payload, out_path) -> None:
+    _emit_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
 
 
 def _side_by_side_dot(poset: Poset, family) -> str:
@@ -181,12 +176,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    reports = sweep_catalog(
-        args.max_n,
-        suite=args.suite,
-        sweep_cap=args.s_cap,
-        catalog_bound=MAX_CATALOG_N,
-    )
+    reports = sweep_catalog(args.max_n, suite=args.suite, sweep_cap=args.s_cap)
     failed = [r for r in reports if not r.all_passed]
     payload = {
         "max_n": args.max_n,

@@ -250,8 +250,13 @@ def is_full(subspace: Subspace):
     return True, None
 
 
-def _separating_points(points, carrier_full):
-    kernels = [carrier_full ^ s for s in points]
+def is_separating(subspace: Subspace):
+    """Is every disjoint A-ideal/A-filter pair separated by a point of A?
+
+    Returns (answer, counterexample (ideal, filter) masks or None).
+    """
+    points = subspace.points
+    kernels = [subspace.poset.full ^ s for s in points]
     ideals = _intersection_closure(kernels)
     filters = _intersection_closure(points)
     for ideal in ideals:
@@ -264,14 +269,6 @@ def _separating_points(points, carrier_full):
             else:
                 return False, (ideal, filt)
     return True, None
-
-
-def is_separating(subspace: Subspace):
-    """Is every disjoint A-ideal/A-filter pair separated by a point of A?
-
-    Returns (answer, counterexample (ideal, filter) masks or None).
-    """
-    return _separating_points(subspace.points, subspace.poset.full)
 
 
 def remove_constants(subspace: Subspace) -> Subspace:

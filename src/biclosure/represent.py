@@ -28,7 +28,7 @@ from .closure import ClosureOperator, closed_open_family, induced_closures
 from .dualspace import (
     DUAL_POINT_CAP,
     Subspace,
-    _separating_points,
+    _upsets,
     dual_space,
     filters_wrt,
     generated_filter,
@@ -119,11 +119,7 @@ def representation_report(poset: Poset, subspace: Subspace) -> RepresentationRep
     separating flags are computed independently so callers can confirm
     the expected implications rather than assume them.
     """
-    return _report(poset, subspace, *induced_closures(subspace))
-
-
-def _report(poset: Poset, subspace: Subspace, c1, c2) -> RepresentationReport:
-    """``representation_report`` over the subspace's induced closures c1, c2."""
+    c1, c2 = induced_closures(subspace)
     n = poset.n
     table = tuple(subspace.up_image(p) for p in range(n))
     family = closed_open_family(c1, c2)
@@ -251,22 +247,28 @@ def _require(laws: dict, what: str) -> None:
         raise RuntimeError(f"{what} failed: {', '.join(failed)}")
 
 
+def _cones(space: Subspace, ideals, filters):
+    """The A-ideal and the A-filter generated by each element, as two
+    tuples indexed by element."""
+    n = space.poset.n
+    return (
+        tuple(generated_ideal(space, 1 << p, ideals).subset for p in range(n)),
+        tuple(generated_filter(space, 1 << p, filters).subset for p in range(n)),
+    )
+
+
 def _ortho_laws(poset: Poset, ortho: OrthoMap, report: RepresentationReport) -> dict:
     """Laws of the orthodual of ``ortho``, read from its report."""
     space = report.subspace
     table = report.sigma_table
-    ideals, filters = ideals_wrt(space), filters_wrt(space)
+    downs, ups = _cones(space, ideals_wrt(space), filters_wrt(space))
     return {
         "closures_coincide": report.closures_coincide,
         "isomorphism": report.isomorphism,
         "complement_as_set_complement": all(
             table[ortho(p)] == space.all_mask ^ table[p] for p in range(poset.n)
         ),
-        "cones": all(
-            generated_ideal(space, 1 << p, ideals).subset == poset.down[p]
-            and generated_filter(space, 1 << p, filters).subset == poset.up[p]
-            for p in range(poset.n)
-        ),
+        "cones": downs == poset.down and ups == poset.up,
     }
 
 
@@ -299,11 +301,11 @@ def represent_orthoposet(
     is verified; a failure is a bug and raises RuntimeError.
     """
     space = orthodual_space(poset, ortho, dual_cap)
-    c1, c2 = induced_closures(space)
-    report = _report(poset, space, c1, c2)
+    report = representation_report(poset, space)
     _require(_ortho_laws(poset, ortho, report), "orthodual representation")
-    # with coinciding closures the closed-open family is c1's clopen family
-    return ClosureSpace(space, c1, report.family), report
+    # with coinciding closures the closed-open family is the first
+    # closure's clopen family
+    return ClosureSpace(space, induced_closures(space)[0], report.family), report
 
 
 def represent_distributive(poset: Poset, dual_cap: int = DUAL_POINT_CAP):
@@ -327,18 +329,21 @@ def stone(poset: Poset, dual_cap: int = DUAL_POINT_CAP) -> StoneSpace:
     if not poset.is_boolean():
         raise NotBoolean("point-space construction needs a Boolean lattice")
     points = remove_constants(lattice_dual(poset, dual_cap))
-    space, laws = _stone(poset, points, *induced_closures(points))
+    space, laws = _stone(representation_report(poset, points))
     _require(laws, "point-space representation")
     return space
 
 
-def _stone(poset: Poset, points: Subspace, c1, c2):
-    """The point space over ``points`` with its closures c1, c2, and its
-    laws; the clopen algebra is the closed-open family, which is c1's
-    clopen family once the closures coincide."""
-    report = _report(poset, points, c1, c2)
+def _stone(report: RepresentationReport):
+    """The point space read from the report on the constant-free morphism
+    dual, and its laws; the clopen algebra is the closed-open family,
+    which is the first closure's clopen family once the closures coincide."""
+    points = report.subspace
     kernels = tuple(points.kernel(i) for i in range(points.size))
-    return StoneSpace(points, c1, report.family, kernels), _point_space_laws(report)
+    space = StoneSpace(
+        points, induced_closures(points)[0], report.family, kernels
+    )
+    return space, _point_space_laws(report)
 
 
 # --- subspaces inducing orthocomplementations -----------------------------------
@@ -394,8 +399,6 @@ def selfdual_subspaces(
         for q in range(n)
         if not poset.leq(p, q)
     ]
-    carrier = poset.full
-    points = star.points
     found = []
     for sub in range(1 << m):
         full = True
@@ -407,10 +410,9 @@ def selfdual_subspaces(
             continue
         if not _coincide_mask(ups, sub, n):
             continue
-        pts = [points[i] for i in bits(sub)]
-        if not _separating_points(pts, carrier)[0]:
-            continue
-        found.append(star.restrict(sub))
+        space = star.restrict(sub)
+        if is_separating(space)[0]:
+            found.append(space)
     return found
 
 
@@ -475,18 +477,13 @@ def _correspondence(poset: Poset, orthos: list, cap: int, dual_cap: int):
     spaces = selfdual_subspaces(poset, cap, dual_cap)
     maxima = maximal_subspaces(spaces)
     max_points = {a.points for a in maxima}
-    ok = len(orthos) == len(maxima)
-    seen = set()
+    # each f's orthodual is a maximal subspace that gives f back, so
+    # f -> orthodual(f) is injective on distinct maps; equal counts then
+    # make it a bijection whose inverse is the induced complementation
+    ok = len(set(orthos)) == len(orthos) == len(maxima)
     for f in orthos:
-        pts = orthodual_space(poset, f, dual_cap).points
-        if pts not in max_points or pts in seen:
-            ok = False
-        seen.add(pts)
-    for a in maxima:
-        g = induced_orthocomplementation(a)
-        if g not in orthos:
-            ok = False
-        if orthodual_space(poset, g, dual_cap).points != a.points:
+        space = orthodual_space(poset, f, dual_cap)
+        if space.points not in max_points or induced_orthocomplementation(space) != f:
             ok = False
     report = {
         "orthocomplementations": len(orthos),
@@ -537,17 +534,14 @@ def _subset_labels(poset: Poset, mask: int) -> list:
 
 
 def _lattice_ideals(poset: Poset) -> list:
-    """Down-sets closed under binary joins, empty set included; the lattice
-    filters are the lattice ideals of ``poset.opposite()``."""
-    out = []
-    for d in range(1 << poset.n):
-        ok = all(poset.down[i] & ~d == 0 for i in bits(d))
-        if ok:
-            items = list(bits(d))
-            ok = all(d >> poset.join(i, j) & 1 for i in items for j in items)
-        if ok:
-            out.append(d)
-    return out
+    """Down-sets closed under binary joins, empty set included, in mask
+    order. The down-sets are the up-sets of ``poset.opposite()``, and the
+    lattice filters are the lattice ideals of the opposite."""
+    return sorted(
+        d
+        for d in _upsets(poset.opposite(), DUAL_POINT_CAP)
+        if all(d >> poset.join(i, j) & 1 for i in bits(d) for j in bits(d))
+    )
 
 
 def _closure_formula_agrees(subspace: Subspace, c1, c2, xs):
@@ -574,11 +568,17 @@ def _closure_formula_agrees(subspace: Subspace, c1, c2, xs):
     return True, None
 
 
-def _subset_sample(m: int, exhaustive_limit: int = 12, samples: int = 2048):
-    if m <= exhaustive_limit:
+# the closure-equation check takes every subset up to this many points,
+# and this many seeded random subsets above it
+_EXHAUSTIVE_LIMIT = 12
+_SAMPLES = 2048
+
+
+def _subset_sample(m: int):
+    if m <= _EXHAUSTIVE_LIMIT:
         return range(1 << m)
     rng = random.Random(0xB1C105)
-    return [rng.getrandbits(m) for _ in range(samples)]
+    return [rng.getrandbits(m) for _ in range(_SAMPLES)]
 
 
 SUITES = ("all", "general", "ortho", "distributive", "boolean")
@@ -652,14 +652,13 @@ def check_poset(
             )
         )
 
-        hyp = True
-        for p in range(poset.n):
-            for q in range(poset.n):
-                if not poset.leq(q, p):
-                    gi = generated_ideal(star, 1 << p, ideals)
-                    gf = generated_filter(star, 1 << q, filters)
-                    if gi.subset & gf.subset:
-                        hyp = False
+        downs, ups = _cones(star, ideals, filters)
+        hyp = not any(
+            downs[p] & ups[q]
+            for p in range(poset.n)
+            for q in range(poset.n)
+            if not poset.leq(q, p)
+        )
         sep_ok = rep.separating
         full_ok = rep.full
         checks.append(
@@ -733,8 +732,8 @@ def check_poset(
             )
         )
         if is_dist and poset.n <= 16:
-            li = tuple(sorted(_lattice_ideals(poset)))
-            lf = tuple(sorted(_lattice_ideals(poset.opposite())))
+            li = tuple(_lattice_ideals(poset))
+            lf = tuple(_lattice_ideals(poset.opposite()))
             ok = (
                 ideals_wrt(morph).members == li
                 and filters_wrt(morph).members == lf
@@ -761,9 +760,8 @@ def check_poset(
             )
 
     if want_bool:
-        trimmed = remove_constants(morph)
-        tc1, tc2 = induced_closures(trimmed)
-        coincide = tc1 == tc2
+        rept = representation_report(poset, remove_constants(morph))
+        coincide = rept.closures_coincide
         checks.append(
             CheckResult(
                 "boolean-iff-coincident-closures",
@@ -774,7 +772,7 @@ def check_poset(
             )
         )
         if poset.is_boolean():
-            space, laws = _stone(poset, trimmed, tc1, tc2)
+            space, laws = _stone(rept)
             atoms = [
                 i
                 for i in range(poset.n)
@@ -825,32 +823,30 @@ def _check_args(args):
     return check_poset(poset, suite=suite, sweep_cap=sweep_cap)
 
 
-def _worker_count(workers: Optional[int]) -> int:
-    if workers is not None:
-        return max(1, workers)
+def _worker_count() -> int:
     try:
         return max(1, int(os.environ.get("BICLOSURE_THREADS", "1")))
     except ValueError:
         return 1
 
 
-def sweep_catalog(
-    max_n: int,
-    suite: str = "all",
-    sweep_cap: int = SWEEP_CAP,
-    catalog_bound: int = MAX_CATALOG_N,
-    workers: Optional[int] = None,
-) -> list:
+def sweep_catalog(max_n: int, suite: str = "all", sweep_cap: int = SWEEP_CAP) -> list:
     """Run the check suite over every isomorphism class up to ``max_n``.
 
-    Worker count comes from BICLOSURE_THREADS unless given explicitly;
-    results are in deterministic catalog order either way.
+    ``max_n`` above MAX_CATALOG_N raises BoundExceeded before anything is
+    enumerated. Worker count comes from BICLOSURE_THREADS; results are in
+    deterministic catalog order either way.
     """
+    if max_n > MAX_CATALOG_N:
+        raise BoundExceeded(
+            f"poset catalog for n={max_n} exceeds the configured bound "
+            f"{MAX_CATALOG_N}"
+        )
     posets = []
     for n in range(1, max_n + 1):
-        posets.extend(enumerate_posets(n, max_n=catalog_bound))
+        posets.extend(enumerate_posets(n))
     jobs = [(p, suite, sweep_cap) for p in posets]
-    count = _worker_count(workers)
+    count = _worker_count()
     if count > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=count) as pool:
             return list(pool.map(_check_args, jobs))

@@ -5,6 +5,8 @@ import biclosure
 DELETED = (
     "EAGER_CARRIER_LIMIT",
     "IdealFamily",
+    "_report",
+    "_separating_points",
     "closure_from_base",
     "closures_equal",
     "up_image",

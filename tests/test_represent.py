@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biclosure import (
+    DUAL_POINT_CAP,
     BoundExceeded,
     ClosureOperator,
     NotBoolean,
@@ -36,7 +37,7 @@ from biclosure import (
 import biclosure.represent as represent_module
 from biclosure.bitops import bits
 from biclosure.dualspace import Hull
-from biclosure.represent import _lattice_ideals, _worker_count
+from biclosure.represent import _correspondence, _lattice_ideals, _worker_count
 
 import oracles
 
@@ -351,20 +352,23 @@ def test_sweep_catalog_respects_bound():
         sweep_catalog(7)
 
 
-def test_parallel_sweep_matches_serial():
-    serial = sweep_catalog(3, workers=1)
-    parallel = sweep_catalog(3, workers=2)
+def test_parallel_sweep_matches_serial(monkeypatch):
+    monkeypatch.setenv("BICLOSURE_THREADS", "1")
+    serial = sweep_catalog(3)
+    monkeypatch.setenv("BICLOSURE_THREADS", "2")
+    parallel = sweep_catalog(3)
     assert [r.to_json() for r in serial] == [r.to_json() for r in parallel]
 
 
 def test_worker_count_resolution(monkeypatch):
-    assert _worker_count(3) == 3
+    monkeypatch.setenv("BICLOSURE_THREADS", "0")
+    assert _worker_count() == 1
     monkeypatch.setenv("BICLOSURE_THREADS", "5")
-    assert _worker_count(None) == 5
+    assert _worker_count() == 5
     monkeypatch.setenv("BICLOSURE_THREADS", "not-a-number")
-    assert _worker_count(None) == 1
+    assert _worker_count() == 1
     monkeypatch.delenv("BICLOSURE_THREADS")
-    assert _worker_count(None) == 1
+    assert _worker_count() == 1
 
 
 def test_every_catalog_class_passes_the_full_battery():
@@ -410,7 +414,8 @@ def test_check_poset_builds_the_morphism_dual_once(monkeypatch):
 def test_lattice_ideals_and_filters_match_naive_oracles(catalog4, catalog5, catalog6):
     lattices = [p for p in catalog4 + catalog5 + catalog6 if p.is_lattice()]
     assert len(lattices) == 25
-    for p in lattices:
+    # n = 16, the largest size the lattice-ideal checks admit
+    for p in lattices + [boolean_algebra(4)]:
         filters = {frozenset(bits(d)) for d in _lattice_ideals(p.opposite())}
         assert filters == oracles.brute_lattice_filters(p)
         ideals = {frozenset(bits(d)) for d in _lattice_ideals(p)}
@@ -471,3 +476,32 @@ def test_failed_cones_are_named_by_builders_and_checks(monkeypatch, b4):
         "complement_as_set_complement": True,
         "cones": False,
     }
+
+
+def test_sweep_catalog_rejects_the_bound_before_enumerating(monkeypatch):
+    calls = []
+    count_calls(monkeypatch, represent_module, "enumerate_posets", calls)
+    with pytest.raises(BoundExceeded):
+        sweep_catalog(7)
+    assert calls == []
+
+
+def test_selfdual_sweep_separates_through_is_separating(monkeypatch, m4):
+    calls = []
+    count_calls(monkeypatch, represent_module, "is_separating", calls)
+    found = selfdual_subspaces(m4, cap=18)
+    assert len(calls) == 3
+    assert [args[0] for args in calls] == found
+
+
+def test_correspondence_fails_on_a_wrong_orthocomplementation_list(m4):
+    orthos = find_orthocomplementations(m4)
+    assert _correspondence(m4, orthos, 18, DUAL_POINT_CAP)[0]
+    for wrong in (
+        orthos[1:],  # one dropped
+        orthos + orthos[:1],  # one duplicated
+        orthos[:1] + orthos[:-1],  # one dropped, another duplicated
+    ):
+        ok, report = _correspondence(m4, wrong, 18, DUAL_POINT_CAP)
+        assert not ok and report["matched"] is False
+        assert report["maximal_subspaces"] == 3
