@@ -16,7 +16,7 @@ import sys
 
 from .bitops import bits
 from .closure import closed_open_family, induced_closures
-from .dualspace import DUAL_POINT_CAP, dual_space
+from .dualspace import DUAL_POINT_CAP, dual_space, orthodual_space
 from .errors import BiclosureError, BoundExceeded
 from .poset import (
     MAX_CATALOG_N,
@@ -139,7 +139,10 @@ def _cmd_ortho(args) -> int:
     code = 0
     star = dual_space(poset, args.dual_cap)
     if poset.is_bounded() and star.size <= args.s_cap:
-        ok, detail = _correspondence(poset, orthos, args.s_cap, args.dual_cap)
+        duals = [orthodual_space(poset, f, args.dual_cap) for f in orthos]
+        ok, detail = _correspondence(
+            poset, orthos, duals, args.s_cap, args.dual_cap
+        )
         payload["correspondence"] = detail
         if not ok:
             code = 1

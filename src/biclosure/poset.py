@@ -15,7 +15,6 @@ Conventions:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -350,28 +349,64 @@ class OrthoMap:
 
 
 def find_orthocomplementations(poset: Poset) -> list:
-    """Exhaustive search over permutations; empty for unbounded posets."""
+    """Every orthocomplementation, in the lexicographic order of its
+    permutation; empty for unbounded posets. Raises BoundExceeded when
+    the search passes its node cap."""
     if not poset.is_bounded():
         return []
-    n = poset.n
-    pairs = [
-        (i, j) for i in range(n) for j in bits(poset.up[i] & ~(1 << i))
+    return [OrthoMap(poset, perm) for perm in _ortho_search(poset)[0]]
+
+
+# candidate pairs the orthocomplementation search may try before it gives up
+_SEARCH_NODE_CAP = 1 << 16
+
+
+def _ortho_search(poset: Poset):
+    """Depth-first search over involutions of a bounded poset that send
+    each element to a complement and reverse the order.
+
+    Positions are filled in index order, candidates tried in ascending
+    order, and f(i) = j also sets f(j) = i, so the permutations come out
+    in lexicographic order. A candidate pair is cut as soon as it breaks
+    anti-isotony against a pair already set. Returns (permutations,
+    nodes), where nodes counts the candidate pairs tried.
+    """
+    n, up, down = poset.n, poset.up, poset.down
+    mt, jt = poset._meet_table, poset._join_table
+    bot, top = poset.bottom, poset.top
+    comp = [
+        mask_of(j for j in range(n) if mt[i][j] == bot and jt[i][j] == top)
+        for i in range(n)
     ]
+    f = [0] * n
     out = []
-    for perm in itertools.permutations(range(n)):
-        if any(perm[perm[i]] != i for i in range(n)):
-            continue
-        if perm[poset.bottom] != poset.top:
-            continue
-        if any(not poset.leq(perm[j], perm[i]) for i, j in pairs):
-            continue
-        if any(
-            poset.meet(i, perm[i]) != poset.bottom or poset.join(i, perm[i]) != poset.top
-            for i in range(n)
-        ):
-            continue
-        out.append(OrthoMap(poset, perm))
-    return out
+    nodes = 0
+
+    def fits(i, j, assigned):
+        # every k >= i already set must map below j, every k <= i above j
+        return all(down[j] >> f[k] & 1 for k in bits(up[i] & assigned)) and all(
+            up[j] >> f[k] & 1 for k in bits(down[i] & assigned)
+        )
+
+    def extend(i, assigned):
+        nonlocal nodes
+        while i < n and assigned >> i & 1:
+            i += 1
+        if i == n:
+            out.append(tuple(f))
+            return
+        for j in bits(comp[i] & ~assigned):
+            nodes += 1
+            if nodes > _SEARCH_NODE_CAP:
+                raise BoundExceeded(
+                    f"orthocomplementation search passed {_SEARCH_NODE_CAP} nodes"
+                )
+            if fits(i, j, assigned) and fits(j, i, assigned):
+                f[i], f[j] = j, i
+                extend(i + 1, assigned | 1 << i | 1 << j)
+
+    extend(0, 0)
+    return out, nodes
 
 
 # --- isomorphism --------------------------------------------------------------

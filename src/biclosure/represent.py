@@ -468,12 +468,15 @@ def ortho_correspondence(
     """
     if not poset.is_bounded():
         raise NotBounded("the correspondence is stated for bounded posets")
-    return _correspondence(poset, find_orthocomplementations(poset), cap, dual_cap)
+    orthos = find_orthocomplementations(poset)
+    duals = [orthodual_space(poset, f, dual_cap) for f in orthos]
+    return _correspondence(poset, orthos, duals, cap, dual_cap)
 
 
-def _correspondence(poset: Poset, orthos: list, cap: int, dual_cap: int):
+def _correspondence(poset: Poset, orthos: list, duals: list, cap: int, dual_cap: int):
     """``ortho_correspondence`` for a bounded poset whose
-    orthocomplementations ``orthos`` are already known."""
+    orthocomplementations ``orthos`` and their orthoduals ``duals`` (in
+    the same order) are already built."""
     spaces = selfdual_subspaces(poset, cap, dual_cap)
     maxima = maximal_subspaces(spaces)
     max_points = {a.points for a in maxima}
@@ -481,8 +484,7 @@ def _correspondence(poset: Poset, orthos: list, cap: int, dual_cap: int):
     # f -> orthodual(f) is injective on distinct maps; equal counts then
     # make it a bijection whose inverse is the induced complementation
     ok = len(set(orthos)) == len(orthos) == len(maxima)
-    for f in orthos:
-        space = orthodual_space(poset, f, dual_cap)
+    for f, space in zip(orthos, duals):
         if space.points not in max_points or induced_orthocomplementation(space) != f:
             ok = False
     report = {
@@ -687,8 +689,9 @@ def check_poset(
 
     if suite in ("all", "ortho") and bounded:
         orthos = find_orthocomplementations(poset)
-        for k, f in enumerate(orthos):
-            rep3 = representation_report(poset, orthodual_space(poset, f, dual_cap))
+        duals = [orthodual_space(poset, f, dual_cap) for f in orthos]
+        for k, (f, space) in enumerate(zip(orthos, duals)):
+            rep3 = representation_report(poset, space)
             laws = _ortho_laws(poset, f, rep3)
             ok = all(laws.values())
             checks.append(
@@ -702,7 +705,7 @@ def check_poset(
                 )
             )
         if star.size <= sweep_cap:
-            ok, detail = _correspondence(poset, orthos, sweep_cap, dual_cap)
+            ok, detail = _correspondence(poset, orthos, duals, sweep_cap, dual_cap)
             checks.append(
                 CheckResult(
                     "ortho-correspondence",

@@ -495,13 +495,32 @@ def test_selfdual_sweep_separates_through_is_separating(monkeypatch, m4):
 
 
 def test_correspondence_fails_on_a_wrong_orthocomplementation_list(m4):
+    def correspondence(orthos):
+        duals = [orthodual_space(m4, f) for f in orthos]
+        return _correspondence(m4, orthos, duals, 18, DUAL_POINT_CAP)
+
     orthos = find_orthocomplementations(m4)
-    assert _correspondence(m4, orthos, 18, DUAL_POINT_CAP)[0]
+    assert correspondence(orthos)[0]
     for wrong in (
         orthos[1:],  # one dropped
         orthos + orthos[:1],  # one duplicated
         orthos[:1] + orthos[:-1],  # one dropped, another duplicated
     ):
-        ok, report = _correspondence(m4, wrong, 18, DUAL_POINT_CAP)
+        ok, report = correspondence(wrong)
         assert not ok and report["matched"] is False
         assert report["maximal_subspaces"] == 3
+
+
+def test_each_orthodual_is_built_once(monkeypatch, m4):
+    # one orthodual per orthocomplementation, shared by its
+    # ortho-representation check and the correspondence
+    monkeypatch.delenv("BICLOSURE_THREADS", raising=False)
+    calls = []
+    count_calls(monkeypatch, represent_module, "orthodual_space", calls)
+    report = check_poset(m4, sweep_cap=18)
+    assert report.all_passed
+    assert any(c.name == "ortho-correspondence" for c in report.checks)
+    assert len(calls) == 3
+    calls.clear()
+    sweep_catalog(6)
+    assert len(calls) == 7
