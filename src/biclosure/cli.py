@@ -140,9 +140,7 @@ def _cmd_ortho(args) -> int:
     star = dual_space(poset, args.dual_cap)
     if poset.is_bounded() and star.size <= args.s_cap:
         duals = [orthodual_space(poset, f, args.dual_cap) for f in orthos]
-        ok, detail = _correspondence(
-            poset, orthos, duals, args.s_cap, args.dual_cap
-        )
+        ok, detail = _correspondence(star, orthos, duals, args.s_cap)
         payload["correspondence"] = detail
         if not ok:
             code = 1

@@ -90,8 +90,7 @@ class ClosureOperator:
 
 def clopen_sets(c: ClosureOperator) -> SubsetFamily:
     """Members closed together with their complement."""
-    family = set(c.closed_family.members)
-    return SubsetFamily(c.m, (x for x in family if (c.full ^ x) in family))
+    return closed_open_family(c, c)
 
 
 def closed_open_family(c1: ClosureOperator, c2: ClosureOperator) -> SubsetFamily:

@@ -6,20 +6,25 @@ up-set of P. A Subspace is any deduplicated set of dual points over a
 fixed base poset, in canonical (ascending mask) order.
 
 Ideals and filters here are taken relative to a subspace A: an A-ideal
-is an intersection of kernels x^-1(0) over a nonempty family of points
-x in A, an A-filter the same with co-kernels x^-1(1). The full carrier
-is not automatically a member; it shows up exactly when A contains the
-right constant map. ``ideal_of``/``filter_of`` of the empty index set
-return the full carrier as the empty intersection.
+is ideal_of(X), the intersection of the kernels x^-1(0) over a nonempty
+X in A, an A-filter filter_of(X), the same with co-kernels x^-1(1); the
+empty X gives the full carrier, a member only when A holds the right
+constant map. By the Galois connection, the A-filters are filter_of(X)
+over the nonempty c1-closed X, the A-ideals ideal_of(X) over the nonempty
+c2-closed X (c1, c2 the induced closures). The points vanishing on
+ideal_of(X) are X and those holding filter_of(Y) are Y, so a disjoint
+pair is separated by a point of A iff X and Y meet. Hulls take no
+family: they intersect the kernels (one-sets) holding the subset.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, reduce
 from operator import and_
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .bitops import bits
+from .closure import induced_closures
 from .errors import BoundExceeded, InvalidOrthoMap, NotALattice, NotBounded
 from .poset import OrthoMap, Poset, SubsetFamily
 
@@ -167,24 +172,6 @@ def lattice_dual(poset: Poset, cap: int = DUAL_POINT_CAP) -> Subspace:
 # --- ideals and filters relative to a subspace -------------------------------
 
 
-def _intersection_closure(generators) -> tuple:
-    family: set = set()
-    for g in generators:
-        family |= {g} | {g & m for m in family}
-    return tuple(sorted(family))
-
-
-def ideals_wrt(subspace: Subspace) -> SubsetFamily:
-    """All A-ideals of the subspace A, in sorted mask order."""
-    kernels = [subspace.kernel(i) for i in range(subspace.size)]
-    return SubsetFamily(subspace.poset.n, _intersection_closure(kernels))
-
-
-def filters_wrt(subspace: Subspace) -> SubsetFamily:
-    """All A-filters of the subspace A, in sorted mask order."""
-    return SubsetFamily(subspace.poset.n, _intersection_closure(subspace.points))
-
-
 def ideal_of(subspace: Subspace, point_indices: int) -> int:
     """Intersection of the kernels of the chosen points; full carrier for none."""
     out = subspace.poset.full
@@ -200,6 +187,24 @@ def filter_of(subspace: Subspace, point_indices: int) -> int:
     return out
 
 
+def _galois_pairs(subspace: Subspace, side: int) -> list:
+    """(filter_of(X), X) over the nonempty c1-closed X (side 0), or
+    (ideal_of(X), X) over the nonempty c2-closed X (side 1), in mask order."""
+    cut = (filter_of, ideal_of)[side]
+    closed = induced_closures(subspace)[side].closed_family
+    return sorted((cut(subspace, x), x) for x in closed if x)
+
+
+def ideals_wrt(subspace: Subspace) -> SubsetFamily:
+    """All A-ideals of the subspace A, in sorted mask order."""
+    return SubsetFamily(subspace.poset.n, (i for i, _ in _galois_pairs(subspace, 1)))
+
+
+def filters_wrt(subspace: Subspace) -> SubsetFamily:
+    """All A-filters of the subspace A, in sorted mask order."""
+    return SubsetFamily(subspace.poset.n, (f for f, _ in _galois_pairs(subspace, 0)))
+
+
 class Hull(NamedTuple):
     """Result of generating an ideal/filter from a subset of the carrier.
 
@@ -211,25 +216,22 @@ class Hull(NamedTuple):
     found: bool
 
 
-def _hull(family: SubsetFamily, subset: int, carrier: int) -> Hull:
-    holding = [m for m in family.members if subset & ~m == 0]
+def _hull(generators, subset: int, carrier: int) -> Hull:
+    holding = [g for g in generators if subset & ~g == 0]
     if not holding:
         return Hull(carrier, False)
     return Hull(reduce(and_, holding), True)
 
 
-def generated_ideal(
-    subspace: Subspace, subset: int, family: Optional[SubsetFamily] = None
-) -> Hull:
+def generated_ideal(subspace: Subspace, subset: int) -> Hull:
     """Smallest A-ideal containing ``subset``, if any contains it at all."""
-    return _hull(family or ideals_wrt(subspace), subset, subspace.poset.full)
+    kernels = map(subspace.kernel, range(subspace.size))
+    return _hull(kernels, subset, subspace.poset.full)
 
 
-def generated_filter(
-    subspace: Subspace, subset: int, family: Optional[SubsetFamily] = None
-) -> Hull:
+def generated_filter(subspace: Subspace, subset: int) -> Hull:
     """Smallest A-filter containing ``subset``, if any contains it at all."""
-    return _hull(family or filters_wrt(subspace), subset, subspace.poset.full)
+    return _hull(subspace.points, subset, subspace.poset.full)
 
 
 # --- separation properties ----------------------------------------------------
@@ -253,20 +255,13 @@ def is_full(subspace: Subspace):
 def is_separating(subspace: Subspace):
     """Is every disjoint A-ideal/A-filter pair separated by a point of A?
 
-    Returns (answer, counterexample (ideal, filter) masks or None).
+    Returns (answer, counterexample (ideal, filter) masks or None), the
+    first in ideal then filter mask order.
     """
-    points = subspace.points
-    kernels = [subspace.poset.full ^ s for s in points]
-    ideals = _intersection_closure(kernels)
-    filters = _intersection_closure(points)
-    for ideal in ideals:
-        for filt in filters:
-            if ideal & filt:
-                continue
-            for s in points:
-                if s & ideal == 0 and filt & ~s == 0:
-                    break
-            else:
+    filters = _galois_pairs(subspace, 0)
+    for ideal, x in _galois_pairs(subspace, 1):
+        for filt, y in filters:
+            if not ideal & filt and not x & y:
                 return False, (ideal, filt)
     return True, None
 

@@ -171,8 +171,8 @@ def representation_report(poset: Poset, subspace: Subspace) -> RepresentationRep
         witnesses["full"] = (poset.labels[full_wit[0]], poset.labels[full_wit[1]])
     if sep_wit is not None:
         witnesses["separating"] = [
-            sorted(poset.labels[i] for i in bits(sep_wit[0])),
-            sorted(poset.labels[i] for i in bits(sep_wit[1])),
+            _subset_labels(poset, sep_wit[0]),
+            _subset_labels(poset, sep_wit[1]),
         ]
     # Separation forces every closed-open set onto a point image EXCEPT
     # possibly the empty set and A itself: ideal families are generated
@@ -247,13 +247,13 @@ def _require(laws: dict, what: str) -> None:
         raise RuntimeError(f"{what} failed: {', '.join(failed)}")
 
 
-def _cones(space: Subspace, ideals, filters):
+def _cones(space: Subspace):
     """The A-ideal and the A-filter generated by each element, as two
     tuples indexed by element."""
     n = space.poset.n
     return (
-        tuple(generated_ideal(space, 1 << p, ideals).subset for p in range(n)),
-        tuple(generated_filter(space, 1 << p, filters).subset for p in range(n)),
+        tuple(generated_ideal(space, 1 << p).subset for p in range(n)),
+        tuple(generated_filter(space, 1 << p).subset for p in range(n)),
     )
 
 
@@ -261,7 +261,7 @@ def _ortho_laws(poset: Poset, ortho: OrthoMap, report: RepresentationReport) -> 
     """Laws of the orthodual of ``ortho``, read from its report."""
     space = report.subspace
     table = report.sigma_table
-    downs, ups = _cones(space, ideals_wrt(space), filters_wrt(space))
+    downs, ups = _cones(space)
     return {
         "closures_coincide": report.closures_coincide,
         "isomorphism": report.isomorphism,
@@ -385,19 +385,23 @@ def selfdual_subspaces(
     there); it is kept in that degenerate case because it is the
     orthodual of the identity complementation.
     """
-    star = dual_space(poset, dual_cap)
+    return _selfdual_sweep(dual_space(poset, dual_cap), cap)
+
+
+def _selfdual_sweep(star: Subspace, cap: int) -> list:
+    """``selfdual_subspaces`` over an already built dual space."""
     m = star.size
     if m > cap:
         raise BoundExceeded(
             f"dual space has {m} points, subset sweep bound is {cap}"
         )
-    n = poset.n
+    n = star.poset.n
     ups = [star.up_image(p) for p in range(n)]
     pair_wit = [
         ups[p] & ~ups[q]
         for p in range(n)
         for q in range(n)
-        if not poset.leq(p, q)
+        if not star.poset.leq(p, q)
     ]
     found = []
     for sub in range(1 << m):
@@ -468,16 +472,17 @@ def ortho_correspondence(
     """
     if not poset.is_bounded():
         raise NotBounded("the correspondence is stated for bounded posets")
+    star = dual_space(poset, dual_cap)
     orthos = find_orthocomplementations(poset)
     duals = [orthodual_space(poset, f, dual_cap) for f in orthos]
-    return _correspondence(poset, orthos, duals, cap, dual_cap)
+    return _correspondence(star, orthos, duals, cap)
 
 
-def _correspondence(poset: Poset, orthos: list, duals: list, cap: int, dual_cap: int):
-    """``ortho_correspondence`` for a bounded poset whose
-    orthocomplementations ``orthos`` and their orthoduals ``duals`` (in
-    the same order) are already built."""
-    spaces = selfdual_subspaces(poset, cap, dual_cap)
+def _correspondence(star: Subspace, orthos: list, duals: list, cap: int):
+    """``ortho_correspondence`` over the dual space ``star`` of a bounded
+    poset whose orthocomplementations ``orthos`` and their orthoduals
+    ``duals`` (in the same order) are already built."""
+    spaces = _selfdual_sweep(star, cap)
     maxima = maximal_subspaces(spaces)
     max_points = {a.points for a in maxima}
     # each f's orthodual is a maximal subspace that gives f back, so
@@ -624,11 +629,9 @@ def check_poset(
             )
         )
 
-        ideals = ideals_wrt(star)
-        filters = filters_wrt(star)
         downsets = tuple(sorted(poset.full ^ s for s in star.points))
-        ideals_ok = ideals.members == downsets
-        filters_ok = filters.members == star.points
+        ideals_ok = ideals_wrt(star).members == downsets
+        filters_ok = filters_wrt(star).members == star.points
         checks.append(
             CheckResult(
                 "ideals-are-downsets",
@@ -654,7 +657,7 @@ def check_poset(
             )
         )
 
-        downs, ups = _cones(star, ideals, filters)
+        downs, ups = _cones(star)
         hyp = not any(
             downs[p] & ups[q]
             for p in range(poset.n)
@@ -705,7 +708,7 @@ def check_poset(
                 )
             )
         if star.size <= sweep_cap:
-            ok, detail = _correspondence(poset, orthos, duals, sweep_cap, dual_cap)
+            ok, detail = _correspondence(star, orthos, duals, sweep_cap)
             checks.append(
                 CheckResult(
                     "ortho-correspondence",

@@ -127,6 +127,33 @@ def brute_is_separating(point_one_sets, n):
     return True
 
 
+def first_unseparated_pair(point_one_sets, n):
+    """First disjoint ideal/filter pair no point separates, scanning ideals
+    then filters in ascending mask order: (verdict, (ideal, filter) masks
+    or None). Both families are grown as intersection closures of the
+    kernels and one-sets, and each pair is tested against every point."""
+
+    def to_mask(s):
+        return sum(1 << i for i in s)
+
+    def grow(generators):
+        family = set()
+        for g in generators:
+            family |= {g} | {g & x for x in family}
+        return sorted(family, key=to_mask)
+
+    sets = [frozenset(s) for s in point_one_sets]
+    ideals = grow([frozenset(range(n)) - s for s in sets])
+    filters = grow(sets)
+    for ideal in ideals:
+        for filt in filters:
+            if ideal & filt:
+                continue
+            if not any(filt <= s and not (ideal & s) for s in sets):
+                return False, (to_mask(ideal), to_mask(filt))
+    return True, None
+
+
 # --- closures ----------------------------------------------------------------------
 
 

@@ -19,8 +19,6 @@ from biclosure import (
     generated_filter,
     generated_ideal,
     ideal_of,
-    ideals_wrt,
-    filters_wrt,
     induced_closures,
     is_full,
     is_separating,
@@ -79,13 +77,13 @@ def test_criterion_1_general_representation(catalog4, catalog5):
     assert elapsed < 60.0, elapsed
 
 
-def _cones_disjoint(poset, sub, ideals, filters):
+def _cones_disjoint(poset, sub):
     for p in range(poset.n):
         for q in range(poset.n):
             if poset.leq(q, p):
                 continue
-            gi = generated_ideal(sub, 1 << p, ideals)
-            gf = generated_filter(sub, 1 << q, filters)
+            gi = generated_ideal(sub, 1 << p)
+            gf = generated_filter(sub, 1 << q)
             if gi.subset & gf.subset:
                 return False
     return True
@@ -99,7 +97,7 @@ def test_criterion_2_separating_cone_fullness(sampled_subspaces):
         sep_ok, _ = is_separating(sub)
         if not sep_ok:
             continue
-        if not _cones_disjoint(poset, sub, ideals_wrt(sub), filters_wrt(sub)):
+        if not _cones_disjoint(poset, sub):
             continue
         antecedents += 1
         full_ok, pair = is_full(sub)

@@ -5,6 +5,7 @@ import biclosure
 DELETED = (
     "EAGER_CARRIER_LIMIT",
     "IdealFamily",
+    "_intersection_closure",
     "_report",
     "_separating_points",
     "closure_from_base",

@@ -30,6 +30,7 @@ import oracles
 
 small_catalog = [p for n in range(1, 5) for p in enumerate_posets(n)]
 tiny_catalog = [p for n in range(1, 4) for p in enumerate_posets(n)]
+catalog_upto5 = small_catalog + enumerate_posets(5)
 
 
 def as_sets(subspace):
@@ -137,7 +138,7 @@ def test_generated_ideal_is_smallest_container(m3):
     star = dual_space(m3)
     fam = ideals_wrt(star)
     for p in range(m3.n):
-        hull = generated_ideal(star, 1 << p, fam)
+        hull = generated_ideal(star, 1 << p)
         assert hull.found
         assert hull.subset & (1 << p)
         for m in fam.members:
@@ -158,11 +159,9 @@ def test_generated_cones_over_orthodual_are_order_cones(b4, m4):
         (m4, g) for g in find_orthocomplementations(m4)
     ]:
         od = orthodual_space(p, f)
-        fam_i = ideals_wrt(od)
-        fam_f = filters_wrt(od)
         for e in range(p.n):
-            assert generated_ideal(od, 1 << e, fam_i).subset == p.down[e]
-            assert generated_filter(od, 1 << e, fam_f).subset == p.up[e]
+            assert generated_ideal(od, 1 << e).subset == p.down[e]
+            assert generated_filter(od, 1 << e).subset == p.up[e]
 
 
 # --- fullness and separation ----------------------------------------------------------
@@ -206,6 +205,41 @@ def test_separation_matches_oracle(p, data):
     sub = star.restrict(data.draw(st.integers(0, star.all_mask)))
     one_sets = [set(bits(s)) for s in sub.points]
     assert is_separating(sub)[0] == oracles.brute_is_separating(one_sets, p.n)
+
+
+def _smallest_holding(family, subset, n):
+    holding = [m for m in family if subset <= m]
+    if not holding:
+        return (1 << n) - 1, False
+    return mask_of(min(holding, key=len)), True
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(catalog_upto5), st.data())
+def test_families_hulls_and_witness_match_oracles(p, data):
+    # at most 10 points keeps the brute families at 2^10 intersections
+    star = dual_space(p)
+    idx = data.draw(
+        st.lists(st.integers(0, star.size - 1), unique=True, max_size=10)
+    )
+    sub = star.restrict(mask_of(idx))
+    one_sets = [frozenset(bits(s)) for s in sub.points]
+    ideals = oracles.brute_ideal_family(one_sets, p.n)
+    filters = oracles.brute_filter_family(one_sets, p.n)
+    assert {frozenset(bits(m)) for m in ideals_wrt(sub)} == ideals
+    assert {frozenset(bits(m)) for m in filters_wrt(sub)} == filters
+    # the witness order is pinned on an uncapped subspace too: the oracle
+    # grows its families instead of sweeping every point combination
+    wide = star.restrict(data.draw(st.integers(0, star.all_mask)))
+    for space in (sub, wide):
+        want = oracles.first_unseparated_pair(
+            [frozenset(bits(s)) for s in space.points], p.n
+        )
+        assert is_separating(space) == want
+    subset = data.draw(st.integers(0, p.full))
+    held = frozenset(bits(subset))
+    assert generated_ideal(sub, subset) == _smallest_holding(ideals, held, p.n)
+    assert generated_filter(sub, subset) == _smallest_holding(filters, held, p.n)
 
 
 def nearly_flat():

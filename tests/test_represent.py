@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biclosure import (
-    DUAL_POINT_CAP,
     BoundExceeded,
     ClosureOperator,
     NotBoolean,
@@ -497,7 +496,7 @@ def test_selfdual_sweep_separates_through_is_separating(monkeypatch, m4):
 def test_correspondence_fails_on_a_wrong_orthocomplementation_list(m4):
     def correspondence(orthos):
         duals = [orthodual_space(m4, f) for f in orthos]
-        return _correspondence(m4, orthos, duals, 18, DUAL_POINT_CAP)
+        return _correspondence(dual_space(m4), orthos, duals, 18)
 
     orthos = find_orthocomplementations(m4)
     assert correspondence(orthos)[0]
@@ -509,6 +508,15 @@ def test_correspondence_fails_on_a_wrong_orthocomplementation_list(m4):
         ok, report = correspondence(wrong)
         assert not ok and report["matched"] is False
         assert report["maximal_subspaces"] == 3
+
+
+def test_check_poset_builds_one_dual_space(monkeypatch, m4):
+    # the correspondence sweeps the dual space check_poset already holds
+    calls = []
+    count_calls(monkeypatch, represent_module, "dual_space", calls)
+    report = check_poset(m4, sweep_cap=18)
+    assert any(c.name == "ortho-correspondence" for c in report.checks)
+    assert len(calls) == 1
 
 
 def test_each_orthodual_is_built_once(monkeypatch, m4):
