@@ -13,20 +13,20 @@ constant map. By the Galois connection, the A-filters are filter_of(X)
 over the nonempty c1-closed X, the A-ideals ideal_of(X) over the nonempty
 c2-closed X (c1, c2 the induced closures). The points vanishing on
 ideal_of(X) are X and those holding filter_of(Y) are Y, so a disjoint
-pair is separated by a point of A iff X and Y meet. Hulls take no
-family: they intersect the kernels (one-sets) holding the subset.
+pair is separated by a point of A iff X and Y meet. A hull is the cut
+of the points holding the subset (in the kernel for an ideal, in the
+one-set for a filter), so it takes no family.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
-from operator import and_
+from functools import cached_property
 from typing import NamedTuple
 
 from .bitops import bits
 from .closure import induced_closures
 from .errors import BoundExceeded, InvalidOrthoMap, NotALattice, NotBounded
-from .poset import OrthoMap, Poset, SubsetFamily
+from .poset import OrthoMap, Poset, SubsetFamily, _upsets
 
 DUAL_POINT_CAP = 1 << 20
 
@@ -105,35 +105,9 @@ class Subspace:
         return [sorted(labels[p] for p in bits(s)) for s in self.points]
 
 
-def _upsets(poset: Poset, cap: int) -> list:
-    # maximal elements first: everything above e is decided when e is reached
-    order = sorted(
-        range(poset.n),
-        key=lambda i: bin(poset.down[i]).count("1"),
-        reverse=True,
-    )
-    out = []
-
-    def grow(k, acc):
-        if k == poset.n:
-            out.append(acc)
-            if len(out) > cap:
-                raise BoundExceeded(
-                    f"up-set count exceeds the configured cap {cap}"
-                )
-            return
-        e = order[k]
-        grow(k + 1, acc)
-        if poset.up[e] & ~(acc | 1 << e) == 0:
-            grow(k + 1, acc | 1 << e)
-
-    grow(0, 0)
-    return out
-
-
 def dual_space(poset: Poset, cap: int = DUAL_POINT_CAP) -> Subspace:
     """Every dual point of P, i.e. one point per up-set of P."""
-    return Subspace(poset, _upsets(poset, cap))
+    return Subspace(poset, _upsets(poset.up, cap))
 
 
 def orthodual_space(poset: Poset, ortho: OrthoMap, cap: int = DUAL_POINT_CAP) -> Subspace:
@@ -141,7 +115,7 @@ def orthodual_space(poset: Poset, ortho: OrthoMap, cap: int = DUAL_POINT_CAP) ->
     if ortho.poset != poset:
         raise InvalidOrthoMap("orthocomplementation belongs to a different poset")
     keep = [
-        s for s in _upsets(poset, cap) if ortho.image_mask(s) == poset.full ^ s
+        s for s in _upsets(poset.up, cap) if ortho.image_mask(s) == poset.full ^ s
     ]
     return Subspace(poset, keep)
 
@@ -153,7 +127,7 @@ def lattice_dual(poset: Poset, cap: int = DUAL_POINT_CAP) -> Subspace:
     mt, jt = poset._meet_table, poset._join_table
     n = poset.n
     keep = []
-    for s in _upsets(poset, cap):
+    for s in _upsets(poset.up, cap):
         ok = True
         for p in range(n):
             vp = s >> p & 1
@@ -216,22 +190,20 @@ class Hull(NamedTuple):
     found: bool
 
 
-def _hull(generators, subset: int, carrier: int) -> Hull:
-    holding = [g for g in generators if subset & ~g == 0]
-    if not holding:
-        return Hull(carrier, False)
-    return Hull(reduce(and_, holding), True)
-
-
 def generated_ideal(subspace: Subspace, subset: int) -> Hull:
     """Smallest A-ideal containing ``subset``, if any contains it at all."""
-    kernels = map(subspace.kernel, range(subspace.size))
-    return _hull(kernels, subset, subspace.poset.full)
+    x = subspace.all_mask
+    for p in bits(subset):
+        x &= subspace.lo_image(p)
+    return Hull(ideal_of(subspace, x), x != 0)
 
 
 def generated_filter(subspace: Subspace, subset: int) -> Hull:
     """Smallest A-filter containing ``subset``, if any contains it at all."""
-    return _hull(subspace.points, subset, subspace.poset.full)
+    x = subspace.all_mask
+    for p in bits(subset):
+        x &= subspace.up_image(p)
+    return Hull(filter_of(subspace, x), x != 0)
 
 
 # --- separation properties ----------------------------------------------------
@@ -243,11 +215,10 @@ def is_full(subspace: Subspace):
     Returns (answer, counterexample pair or None).
     """
     poset = subspace.poset
-    avail = subspace.all_mask
     for p in range(poset.n):
         for q in range(poset.n):
             if not poset.leq(p, q):
-                if not subspace.up_image(p) & ~subspace.up_image(q) & avail:
+                if not subspace.up_image(p) & ~subspace.up_image(q):
                     return False, (p, q)
     return True, None
 

@@ -472,36 +472,48 @@ def are_isomorphic(p: Poset, q: Poset):
 # --- catalogs ------------------------------------------------------------------
 
 
-def _downclosed_subsets(up, k):
-    # down-sets of the k-element prefix, used to attach a new maximal element
-    down = [0] * k
-    for i in range(k):
-        for j in bits(up[i]):
-            down[j] |= 1 << i
+def _upsets(rows, cap: int) -> list:
+    """Every set S holding rows[e] for each e in S, in no particular order:
+    the up-sets of P for rows = P.up, its down-sets for rows = P.down.
+
+    Raises BoundExceeded once there are more than ``cap`` of them.
+    """
+    n = len(rows)
+    # each other element of rows[e] has a strictly smaller row, so in this
+    # order everything rows[e] asks for is decided when e is reached
+    order = sorted(range(n), key=lambda i: bin(rows[i]).count("1"))
     out = []
-    for d in range(1 << k):
-        ok = True
-        for i in bits(d):
-            if down[i] & ~d:
-                ok = False
-                break
-        if ok:
-            out.append(d)
+
+    def grow(k, acc):
+        if k == n:
+            out.append(acc)
+            if len(out) > cap:
+                raise BoundExceeded(
+                    f"up-set count exceeds the configured cap {cap}"
+                )
+            return
+        e = order[k]
+        grow(k + 1, acc)
+        if rows[e] & ~(acc | 1 << e) == 0:
+            grow(k + 1, acc | 1 << e)
+
+    grow(0, 0)
     return out
 
 
 def _natural_posets(n):
     """All posets on 0..n-1 whose order respects the integer order.
 
-    Element k is attached as a maximal element above a down-closed subset,
-    so every output is transitive by construction and every isomorphism
-    class appears (each finite poset has a linear extension).
+    Element k is attached as a maximal element above a down-set of the
+    first k, so every output is transitive by construction and every
+    isomorphism class appears (each finite poset has a linear extension).
     """
     posets = [()]
     for k in range(n):
         grown = []
         for up in posets:
-            for d in _downclosed_subsets(up, k):
+            down = [mask_of(i for i in range(k) if up[i] >> j & 1) for j in range(k)]
+            for d in sorted(_upsets(down, 1 << k)):
                 new_up = tuple(
                     up[i] | (1 << k) if d >> i & 1 else up[i] for i in range(k)
                 ) + (1 << k,)

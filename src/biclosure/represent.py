@@ -28,7 +28,6 @@ from .closure import ClosureOperator, closed_open_family, induced_closures
 from .dualspace import (
     DUAL_POINT_CAP,
     Subspace,
-    _upsets,
     dual_space,
     filters_wrt,
     generated_filter,
@@ -52,6 +51,7 @@ from .poset import (
     OrthoMap,
     Poset,
     SubsetFamily,
+    _upsets,
     enumerate_posets,
     find_orthocomplementations,
     poset_to_json,
@@ -125,12 +125,17 @@ def representation_report(poset: Poset, subspace: Subspace) -> RepresentationRep
     family = closed_open_family(c1, c2)
     witnesses: dict = {}
 
-    isotone = True
+    # p <= q must hold exactly when table[p] is inside table[q]: a pair
+    # with p <= q that fails breaks isotony, one without breaks reflection
     for p in range(n):
-        for q in bits(poset.up[p]):
-            if table[p] & ~table[q]:
-                isotone = False
-                witnesses.setdefault("isotone", (poset.labels[p], poset.labels[q]))
+        row = poset.up[p]
+        for q in range(n):
+            inside = not table[p] & ~table[q]
+            if inside != (row >> q & 1):
+                broken = "order_reflecting" if inside else "isotone"
+                witnesses.setdefault(broken, (poset.labels[p], poset.labels[q]))
+    isotone = "isotone" not in witnesses
+    order_reflecting = "order_reflecting" not in witnesses
 
     seen: dict = {}
     injective = True
@@ -143,25 +148,17 @@ def representation_report(poset: Poset, subspace: Subspace) -> RepresentationRep
             break
         seen[table[p]] = p
 
-    into = all(x in family for x in table)
+    in_family = set(family)
+    outside = next((x for x in table if x not in in_family), None)
+    into = outside is None
     if not into:
-        bad = next(x for x in table if x not in family)
-        witnesses["into"] = sorted(bits(bad))
+        witnesses["into"] = sorted(bits(outside))
 
     image = set(table)
     missing = next((x for x in family if x not in image), None)
     surjective = missing is None
     if missing is not None:
         witnesses["surjective"] = sorted(bits(missing))
-
-    order_reflecting = True
-    for p in range(n):
-        for q in range(n):
-            if table[p] & ~table[q] == 0 and not poset.leq(p, q):
-                order_reflecting = False
-                witnesses.setdefault(
-                    "order_reflecting", (poset.labels[p], poset.labels[q])
-                )
 
     isomorphism = isotone and injective and into and surjective and order_reflecting
 
@@ -542,11 +539,10 @@ def _subset_labels(poset: Poset, mask: int) -> list:
 
 def _lattice_ideals(poset: Poset) -> list:
     """Down-sets closed under binary joins, empty set included, in mask
-    order. The down-sets are the up-sets of ``poset.opposite()``, and the
-    lattice filters are the lattice ideals of the opposite."""
+    order. The lattice filters are the lattice ideals of the opposite."""
     return sorted(
         d
-        for d in _upsets(poset.opposite(), DUAL_POINT_CAP)
+        for d in _upsets(poset.down, DUAL_POINT_CAP)
         if all(d >> poset.join(i, j) & 1 for i in bits(d) for j in bits(d))
     )
 
@@ -642,7 +638,7 @@ def check_poset(
             )
         )
 
-        # a fresh pair, not the report's: reusing that one measured slower
+        # the report keeps no closure pair, so the check builds its own
         c1, c2 = induced_closures(star)
         eq_ok, eq_wit = _closure_formula_agrees(
             star, c1, c2, _subset_sample(star.size)
@@ -724,6 +720,10 @@ def check_poset(
     want_dist = suite in ("all", "distributive") and is_lat
     want_bool = suite in ("all", "boolean") and is_dist
     morph = lattice_dual(poset, dual_cap) if want_dist or want_bool else None
+    is_bool = want_bool and poset.is_boolean()
+    # one family of lattice ideals serves the distributive and Stone checks
+    need_ideals = want_dist and is_dist or is_bool
+    ideals = _lattice_ideals(poset) if need_ideals and poset.n <= 16 else None
 
     if want_dist:
         repd = representation_report(poset, morph)
@@ -738,10 +738,9 @@ def check_poset(
             )
         )
         if is_dist and poset.n <= 16:
-            li = tuple(_lattice_ideals(poset))
             lf = tuple(_lattice_ideals(poset.opposite()))
             ok = (
-                ideals_wrt(morph).members == li
+                ideals_wrt(morph).members == tuple(ideals)
                 and filters_wrt(morph).members == lf
             )
             checks.append(
@@ -773,18 +772,17 @@ def check_poset(
                 "boolean-iff-coincident-closures",
                 "the lattice is Boolean exactly when the two closures on its "
                 "constant-free morphism dual coincide",
-                poset.is_boolean() == coincide,
-                {"boolean": poset.is_boolean(), "closures_coincide": coincide},
+                is_bool == coincide,
+                {"boolean": is_bool, "closures_coincide": coincide},
             )
         )
-        if poset.is_boolean():
+        if is_bool:
             space, laws = _stone(rept)
             atoms = [
                 i
                 for i in range(poset.n)
                 if poset.covers[poset.bottom] >> i & 1
             ]
-            ideals = _lattice_ideals(poset) if poset.n <= 16 else None
             kernels_ok = True
             if ideals is not None:
                 for ker in space.kernels:

@@ -5,6 +5,8 @@ import biclosure
 DELETED = (
     "EAGER_CARRIER_LIMIT",
     "IdealFamily",
+    "_downclosed_subsets",
+    "_hull",
     "_intersection_closure",
     "_report",
     "_separating_points",
@@ -32,6 +34,7 @@ def test_public_names_resolve_and_are_unique():
 def test_deleted_names_are_gone():
     import biclosure.closure
     import biclosure.dualspace
+    import biclosure.poset
 
     for name in DELETED:
         assert name not in biclosure.__all__
@@ -39,6 +42,7 @@ def test_deleted_names_are_gone():
             biclosure,
             biclosure.closure,
             biclosure.dualspace,
+            biclosure.poset,
             biclosure.represent,
         ):
             assert not hasattr(mod, name), (mod.__name__, name)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -26,6 +27,8 @@ from biclosure import (
     poset_to_dot,
     poset_to_json,
 )
+from biclosure.bitops import bits
+from biclosure.poset import _natural_posets, _upsets
 
 import oracles
 
@@ -132,6 +135,31 @@ def test_covers_have_nothing_between(b8):
 
 def test_class_counts_up_to_five():
     assert [len(enumerate_posets(n)) for n in range(1, 6)] == [1, 2, 5, 16, 63]
+
+
+def test_natural_labelings_are_counted_by_a006455():
+    counts = [len(_natural_posets(n)) for n in range(7)]
+    assert counts == [1, 1, 2, 7, 40, 357, 4824]
+
+
+def test_six_element_representatives_are_pinned(catalog6):
+    # representatives and their order depend on the down-set enumeration
+    # order inside _natural_posets; the digest fixes both
+    blob = json.dumps([poset_to_json(p) for p in catalog6]).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "8c8e3570aac63598c7a674fb5a7e9d80d77a15c2caabada9f7d0ddacf74c76e9"
+    )
+
+
+def test_one_enumerator_gives_up_sets_and_down_sets(catalog4, catalog5):
+    for p in catalog4 + catalog5:
+        leq = oracles.leq_fn(p)
+        for rows, order in ((p.up, leq), (p.down, lambda a, b: leq(b, a))):
+            sets = _upsets(rows, 1 << p.n)
+            assert len(sets) == len(set(sets))
+            assert {frozenset(bits(s)) for s in sets} == oracles.brute_upsets(
+                p.n, order
+            )
 
 
 def test_catalog_has_no_duplicate_classes():

@@ -410,6 +410,17 @@ def test_check_poset_builds_the_morphism_dual_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_check_poset_builds_the_lattice_ideals_once(monkeypatch):
+    calls = []
+    count_calls(monkeypatch, represent_module, "_lattice_ideals", calls)
+    poset = boolean_algebra(3)
+    report = check_poset(poset)
+    assert report.all_passed
+    names = {c.name for c in report.checks}
+    assert {"lattice-ideals-coincide", "stone-representation"} <= names
+    assert sum(args[0] is poset for args in calls) == 1
+
+
 def test_lattice_ideals_and_filters_match_naive_oracles(catalog4, catalog5, catalog6):
     lattices = [p for p in catalog4 + catalog5 + catalog6 if p.is_lattice()]
     assert len(lattices) == 25
