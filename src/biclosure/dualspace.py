@@ -26,7 +26,7 @@ from typing import NamedTuple
 from .bitops import bits
 from .closure import induced_closures
 from .errors import BoundExceeded, InvalidOrthoMap, NotALattice, NotBounded
-from .poset import OrthoMap, Poset, SubsetFamily, _upsets
+from .poset import OrthoMap, Poset, SubsetFamily, _closed, _upsets
 
 DUAL_POINT_CAP = 1 << 20
 
@@ -121,25 +121,20 @@ def orthodual_space(poset: Poset, ortho: OrthoMap, cap: int = DUAL_POINT_CAP) ->
 
 
 def lattice_dual(poset: Poset, cap: int = DUAL_POINT_CAP) -> Subspace:
-    """Dual points preserving meets and joins; includes both constants."""
+    """Dual points preserving meets and joins; includes both constants.
+
+    An up-set's point preserves meets exactly when the up-set is closed
+    under meets (a lattice filter or empty) and joins exactly when its
+    complement is closed under joins (a lattice ideal or empty).
+    """
     if not poset.is_lattice():
         raise NotALattice("meet/join dual requires a lattice")
-    mt, jt = poset._meet_table, poset._join_table
-    n = poset.n
-    keep = []
-    for s in _upsets(poset.up, cap):
-        ok = True
-        for p in range(n):
-            vp = s >> p & 1
-            for q in range(p, n):
-                vq = s >> q & 1
-                if s >> mt[p][q] & 1 != (vp & vq) or s >> jt[p][q] & 1 != (vp | vq):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            keep.append(s)
+    keep = [
+        s
+        for s in _upsets(poset.up, cap)
+        if _closed(poset._meet_table, s)
+        and _closed(poset._join_table, poset.full ^ s)
+    ]
     return Subspace(poset, keep)
 
 

@@ -66,9 +66,6 @@ class Poset:
     def leq(self, i: int, j: int) -> bool:
         return bool(self.up[i] >> j & 1)
 
-    def lt(self, i: int, j: int) -> bool:
-        return i != j and self.leq(i, j)
-
     def leq_labels(self, a, b) -> bool:
         return self.leq(self.index(a), self.index(b))
 
@@ -151,7 +148,8 @@ class Poset:
         return self._join_table[p][q]
 
     def is_lattice(self) -> bool:
-        return all(
+        """Nonempty, with a meet and a join for every pair."""
+        return self.n > 0 and all(
             self._meet_table[p][q] is not None and self._join_table[p][q] is not None
             for p in range(self.n)
             for q in range(p + 1, self.n)
@@ -499,6 +497,11 @@ def _upsets(rows, cap: int) -> list:
 
     grow(0, 0)
     return out
+
+
+def _closed(table, d: int) -> bool:
+    """Is the set d closed under the binary operation given by table?"""
+    return all(d >> table[i][j] & 1 for i in bits(d) for j in bits(d))
 
 
 def _natural_posets(n):

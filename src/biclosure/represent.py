@@ -51,6 +51,7 @@ from .poset import (
     OrthoMap,
     Poset,
     SubsetFamily,
+    _closed,
     _upsets,
     enumerate_posets,
     find_orthocomplementations,
@@ -119,6 +120,8 @@ def representation_report(poset: Poset, subspace: Subspace) -> RepresentationRep
     separating flags are computed independently so callers can confirm
     the expected implications rather than assume them.
     """
+    if subspace.poset != poset:
+        raise ValueError("subspace is over a different poset")
     c1, c2 = induced_closures(subspace)
     n = poset.n
     table = tuple(subspace.up_image(p) for p in range(n))
@@ -126,27 +129,21 @@ def representation_report(poset: Poset, subspace: Subspace) -> RepresentationRep
     witnesses: dict = {}
 
     # p <= q must hold exactly when table[p] is inside table[q]: a pair
-    # with p <= q that fails breaks isotony, one without breaks reflection
+    # with p <= q that fails breaks isotony, one without breaks reflection;
+    # an earlier q with the same image breaks injectivity
+    labels = poset.labels
     for p in range(n):
         row = poset.up[p]
         for q in range(n):
             inside = not table[p] & ~table[q]
             if inside != (row >> q & 1):
                 broken = "order_reflecting" if inside else "isotone"
-                witnesses.setdefault(broken, (poset.labels[p], poset.labels[q]))
+                witnesses.setdefault(broken, (labels[p], labels[q]))
+            if q < p and table[q] == table[p]:
+                witnesses.setdefault("injective", (labels[q], labels[p]))
     isotone = "isotone" not in witnesses
     order_reflecting = "order_reflecting" not in witnesses
-
-    seen: dict = {}
-    injective = True
-    for p in range(n):
-        if table[p] in seen:
-            injective = False
-            witnesses.setdefault(
-                "injective", (poset.labels[seen[table[p]]], poset.labels[p])
-            )
-            break
-        seen[table[p]] = p
+    injective = "injective" not in witnesses
 
     in_family = set(family)
     outside = next((x for x in table if x not in in_family), None)
@@ -346,26 +343,21 @@ def _stone(report: RepresentationReport):
 # --- subspaces inducing orthocomplementations -----------------------------------
 
 
-def _coincide_mask(ups, sub, n) -> bool:
-    # families generated by {up & sub} and {sub \ up} coincide iff each
-    # generator of one is an intersection of generators of the other
-    for p in range(n):
-        lo = sub & ~ups[p]
+def _cuts_generated(rows, sub: int) -> bool:
+    """Is each sub & ~r (r in rows) an intersection of the sets t & sub?
+
+    The families generated by {u & sub} and {sub & ~u} over the up-images
+    u coincide iff each generator of one is an intersection of generators
+    of the other, so the sweep asks this of the up-images and of the
+    lo-images.
+    """
+    for r in rows:
+        cut = sub & ~r
         c = sub
-        for q in range(n):
-            u = ups[q] & sub
-            if lo & ~u == 0:
-                c &= u
-        if c != lo:
-            return False
-    for p in range(n):
-        hi = ups[p] & sub
-        c = sub
-        for q in range(n):
-            l = sub & ~ups[q]
-            if hi & ~l == 0:
-                c &= l
-        if c != hi:
+        for t in rows:
+            if cut & ~t == 0:
+                c &= t
+        if c != cut:
             return False
     return True
 
@@ -394,6 +386,7 @@ def _selfdual_sweep(star: Subspace, cap: int) -> list:
         )
     n = star.poset.n
     ups = [star.up_image(p) for p in range(n)]
+    los = [star.lo_image(p) for p in range(n)]
     pair_wit = [
         ups[p] & ~ups[q]
         for p in range(n)
@@ -409,7 +402,7 @@ def _selfdual_sweep(star: Subspace, cap: int) -> list:
                 break
         if not full:
             continue
-        if not _coincide_mask(ups, sub, n):
+        if not (_cuts_generated(ups, sub) and _cuts_generated(los, sub)):
             continue
         space = star.restrict(sub)
         if is_separating(space)[0]:
@@ -543,7 +536,7 @@ def _lattice_ideals(poset: Poset) -> list:
     return sorted(
         d
         for d in _upsets(poset.down, DUAL_POINT_CAP)
-        if all(d >> poset.join(i, j) & 1 for i in bits(d) for j in bits(d))
+        if _closed(poset._join_table, d)
     )
 
 
@@ -778,11 +771,7 @@ def check_poset(
         )
         if is_bool:
             space, laws = _stone(rept)
-            atoms = [
-                i
-                for i in range(poset.n)
-                if poset.covers[poset.bottom] >> i & 1
-            ]
+            atoms = bin(poset.covers[poset.bottom]).count("1")
             kernels_ok = True
             if ideals is not None:
                 for ker in space.kernels:
@@ -794,12 +783,12 @@ def check_poset(
                     ):
                         kernels_ok = False
             laws_ok = all(laws.values())
-            point_count_ok = space.subspace.size == len(atoms)
+            point_count_ok = space.subspace.size == atoms
             clopen_ok = len(space.clopen) == poset.n
             ok = laws_ok and kernels_ok and point_count_ok and clopen_ok
             witness = {
                 "points": space.subspace.size,
-                "atoms": len(atoms),
+                "atoms": atoms,
                 "clopen": len(space.clopen),
                 "kernels_maximal_ideals": kernels_ok,
             }

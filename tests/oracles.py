@@ -154,6 +154,35 @@ def first_unseparated_pair(point_one_sets, n):
     return True, None
 
 
+# --- the point-image map ------------------------------------------------------------
+
+
+def brute_order_flags(point_one_sets, n, leq):
+    """First witness of each order flag of p -> {i : p in point i}, or None
+    when the flag holds: "isotone" and "order_reflecting" give the first
+    failing (p, q) with p outer and q inner, "injective" gives (q, p) for
+    the first p that has an earlier q with the same image."""
+    images = [
+        frozenset(i for i, s in enumerate(point_one_sets) if p in s)
+        for p in range(n)
+    ]
+    pairs = list(itertools.product(range(n), repeat=2))
+    return {
+        "isotone": next(
+            ((p, q) for p, q in pairs if leq(p, q) and not images[p] <= images[q]),
+            None,
+        ),
+        "order_reflecting": next(
+            ((p, q) for p, q in pairs if images[p] <= images[q] and not leq(p, q)),
+            None,
+        ),
+        "injective": next(
+            ((q, p) for p in range(n) for q in range(p) if images[q] == images[p]),
+            None,
+        ),
+    }
+
+
 # --- closures ----------------------------------------------------------------------
 
 

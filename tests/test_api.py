@@ -5,6 +5,7 @@ import biclosure
 DELETED = (
     "EAGER_CARRIER_LIMIT",
     "IdealFamily",
+    "_coincide_mask",
     "_downclosed_subsets",
     "_hull",
     "_intersection_closure",

@@ -122,6 +122,27 @@ def test_check_reports_failure_with_exit_one(capsys, monkeypatch):
     assert json.loads(out)["checks"][0]["pass"] is False
 
 
+EMPTY = json.dumps({"elements": []})
+
+
+def test_check_on_the_empty_poset_passes_every_suite(capsys):
+    for suite in ("all", "general", "ortho", "distributive", "boolean"):
+        code, out, _ = run(capsys, "check", EMPTY, "--suite", suite)
+        assert code == 0, suite
+        checks = json.loads(out)["checks"]
+        assert all(c["pass"] for c in checks)
+        if suite in ("all", "general"):
+            assert len(checks) == 5
+        else:
+            assert checks == []
+
+
+def test_empty_poset_has_no_distributive_representation(capsys):
+    code, _, err = run(capsys, "represent", EMPTY, "--kind", "distributive")
+    assert code == 2
+    assert "distributiv" in err
+
+
 def test_catalog_sweep(capsys):
     code, out, _ = run(capsys, "catalog", "--max-n", "3")
     assert code == 0

@@ -292,8 +292,10 @@ def test_remove_constants_requires_bounds(vee):
         remove_constants(dual_space(vee))
 
 
-def test_lattice_dual_matches_brute_morphisms(b4, b8, m3, four_chain):
-    for p in (b4, b8, m3, four_chain):
+def test_lattice_dual_matches_brute_morphisms(catalog4, catalog5, catalog6):
+    lattices = [p for p in catalog4 + catalog5 + catalog6 if p.is_lattice()]
+    assert len(lattices) == 25
+    for p in lattices:
         want = oracles.brute_lattice_01_morphisms(p.n, oracles.leq_fn(p))
         assert as_sets(lattice_dual(p)) == want
 

@@ -106,6 +106,12 @@ def test_lattice_predicates_on_known_shapes(b4, b8, m3, m4, n5, four_chain, vee,
     assert not pair.is_lattice()
 
 
+def test_empty_poset_is_not_a_lattice():
+    empty = Poset([], [])
+    assert not empty.is_lattice()
+    assert not empty.is_distributive() and not empty.is_boolean()
+
+
 @given(catalog_strategy)
 def test_distributivity_matches_oracle(p):
     assert p.is_distributive() == oracles.brute_is_distributive(p)

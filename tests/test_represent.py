@@ -1,4 +1,5 @@
 import os
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from biclosure import (
     NotBounded,
     NotDistributive,
     NotSelfdual,
+    antichain,
     boolean_algebra,
     chain,
     check_poset,
@@ -115,6 +117,40 @@ def test_report_witnesses_point_at_failures(b4):
     assert "full" in report.witnesses
     p, q = report.witnesses["full"]
     assert not b4.leq_labels(p, q)
+
+
+def test_order_flags_and_witnesses_match_the_oracle(catalog4, catalog5):
+    rng = random.Random(0x0F1A95)
+    for p in catalog4 + catalog5:
+        star = dual_space(p)
+        leq = oracles.leq_fn(p)
+        for _ in range(8):
+            sub = star.restrict(rng.getrandbits(star.size))
+            report = representation_report(p, sub)
+            want = oracles.brute_order_flags(
+                [frozenset(bits(s)) for s in sub.points], p.n, leq
+            )
+            for flag, pair in want.items():
+                assert getattr(report, flag) == (pair is None)
+                labelled = None if pair is None else tuple(p.labels[i] for i in pair)
+                assert report.witnesses.get(flag) == labelled
+
+
+def test_injectivity_is_decided_where_reflection_also_breaks():
+    # both elements map onto the one point that holds everything, and the
+    # pair that shows it also breaks order reflection
+    p = antichain(2)
+    star = dual_space(p)
+    constants = star.restrict((1 << star.index_of(0)) | (1 << star.index_of(p.full)))
+    report = representation_report(p, constants)
+    assert not report.order_reflecting
+    assert not report.injective
+    assert report.witnesses["injective"] == ("a0", "a1")
+
+
+def test_report_rejects_a_subspace_over_another_poset():
+    with pytest.raises(ValueError):
+        representation_report(chain(2), dual_space(antichain(3)))
 
 
 def test_report_json_is_serializable(b4):
