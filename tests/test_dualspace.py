@@ -292,10 +292,10 @@ def test_remove_constants_requires_bounds(vee):
         remove_constants(dual_space(vee))
 
 
-def test_lattice_dual_matches_brute_morphisms(catalog4, catalog5, catalog6):
+def test_lattice_dual_matches_brute_morphisms(catalog4, catalog5, catalog6, b8):
     lattices = [p for p in catalog4 + catalog5 + catalog6 if p.is_lattice()]
     assert len(lattices) == 25
-    for p in lattices:
+    for p in lattices + [b8]:
         want = oracles.brute_lattice_01_morphisms(p.n, oracles.leq_fn(p))
         assert as_sets(lattice_dual(p)) == want
 
