@@ -135,17 +135,18 @@ def _cmd_ortho(args) -> int:
         "poset": poset_to_json(poset),
         "count": len(orthos),
         "orthocomplementations": [f.to_json() for f in orthos],
+        "correspondence": None,
     }
     code = 0
-    star = dual_space(poset, args.dual_cap)
-    if poset.is_bounded() and star.size <= args.s_cap:
-        duals = [orthodual_space(poset, f, args.dual_cap) for f in orthos]
-        ok, detail = _correspondence(star, orthos, duals, args.s_cap)
-        payload["correspondence"] = detail
-        if not ok:
-            code = 1
-    else:
-        payload["correspondence"] = None
+    # the correspondence is stated for bounded posets only, so only they
+    # need the dual space
+    if poset.is_bounded():
+        star = dual_space(poset, args.dual_cap)
+        if star.size <= args.s_cap:
+            duals = [orthodual_space(poset, f, args.dual_cap) for f in orthos]
+            ok, detail = _correspondence(star, orthos, duals, args.s_cap)
+            payload["correspondence"] = detail
+            code = 0 if ok else 1
     _emit_json(payload, args.out)
     return code
 
@@ -293,10 +294,7 @@ def main(argv=None) -> int:
     except BoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except BiclosureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (BiclosureError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -204,17 +204,24 @@ def generated_filter(subspace: Subspace, subset: int) -> Hull:
 # --- separation properties ----------------------------------------------------
 
 
+def _fullness_witnesses(subspace: Subspace):
+    """(p, q, indices of the points holding p but not q) over the
+    non-relations p <= q, p outer and q inner."""
+    poset = subspace.poset
+    for p in range(poset.n):
+        for q in range(poset.n):
+            if not poset.leq(p, q):
+                yield p, q, subspace.up_image(p) & ~subspace.up_image(q)
+
+
 def is_full(subspace: Subspace):
     """Does some point witness every non-relation p <= q?
 
     Returns (answer, counterexample pair or None).
     """
-    poset = subspace.poset
-    for p in range(poset.n):
-        for q in range(poset.n):
-            if not poset.leq(p, q):
-                if not subspace.up_image(p) & ~subspace.up_image(q):
-                    return False, (p, q)
+    for p, q, held in _fullness_witnesses(subspace):
+        if not held:
+            return False, (p, q)
     return True, None
 
 

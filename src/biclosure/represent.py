@@ -21,6 +21,7 @@ import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from .bitops import and_fold, and_tables, bits
@@ -28,6 +29,7 @@ from .closure import ClosureOperator, closed_open_family, induced_closures
 from .dualspace import (
     DUAL_POINT_CAP,
     Subspace,
+    _fullness_witnesses,
     dual_space,
     filters_wrt,
     generated_filter,
@@ -116,8 +118,8 @@ def representation_report(poset: Poset, subspace: Subspace) -> RepresentationRep
     """Check the point-image map p -> {x in A : x(p) = 1} on one subspace.
 
     The isomorphism verdict is decided directly (isotone, injective, into
-    and onto the closed-open family, order reflecting); the full and
-    separating flags are computed independently so callers can confirm
+    and onto the closed-open family, order reflecting, which is fullness);
+    the separating flag is computed independently so callers can confirm
     the expected implications rather than assume them.
     """
     if subspace.poset != poset:
@@ -127,22 +129,25 @@ def representation_report(poset: Poset, subspace: Subspace) -> RepresentationRep
     table = tuple(subspace.up_image(p) for p in range(n))
     family = closed_open_family(c1, c2)
     witnesses: dict = {}
-
-    # p <= q must hold exactly when table[p] is inside table[q]: a pair
-    # with p <= q that fails breaks isotony, one without breaks reflection;
-    # an earlier q with the same image breaks injectivity
     labels = poset.labels
+
+    # A is full exactly when the map reflects the order: a point holding
+    # p but not q is what keeps table[p] out of table[q]
+    full_ok, full_wit = is_full(subspace)
+    if full_wit is not None:
+        pair = (labels[full_wit[0]], labels[full_wit[1]])
+        witnesses["order_reflecting"] = witnesses["full"] = pair
+
+    # p <= q with table[p] outside table[q] breaks isotony; an earlier q
+    # with the same image breaks injectivity
     for p in range(n):
         row = poset.up[p]
         for q in range(n):
-            inside = not table[p] & ~table[q]
-            if inside != (row >> q & 1):
-                broken = "order_reflecting" if inside else "isotone"
-                witnesses.setdefault(broken, (labels[p], labels[q]))
+            if row >> q & 1 and table[p] & ~table[q]:
+                witnesses.setdefault("isotone", (labels[p], labels[q]))
             if q < p and table[q] == table[p]:
                 witnesses.setdefault("injective", (labels[q], labels[p]))
     isotone = "isotone" not in witnesses
-    order_reflecting = "order_reflecting" not in witnesses
     injective = "injective" not in witnesses
 
     in_family = set(family)
@@ -157,12 +162,9 @@ def representation_report(poset: Poset, subspace: Subspace) -> RepresentationRep
     if missing is not None:
         witnesses["surjective"] = sorted(bits(missing))
 
-    isomorphism = isotone and injective and into and surjective and order_reflecting
+    isomorphism = isotone and injective and into and surjective and full_ok
 
-    full_ok, full_wit = is_full(subspace)
     sep_ok, sep_wit = is_separating(subspace)
-    if full_wit is not None:
-        witnesses["full"] = (poset.labels[full_wit[0]], poset.labels[full_wit[1]])
     if sep_wit is not None:
         witnesses["separating"] = [
             _subset_labels(poset, sep_wit[0]),
@@ -186,7 +188,7 @@ def representation_report(poset: Poset, subspace: Subspace) -> RepresentationRep
         injective=injective,
         into=into,
         surjective=surjective,
-        order_reflecting=order_reflecting,
+        order_reflecting=full_ok,
         isomorphism=isomorphism,
         full=full_ok,
         separating=sep_ok,
@@ -224,13 +226,10 @@ class ClosureSpace:
 
 
 @dataclass(frozen=True)
-class StoneSpace:
+class StoneSpace(ClosureSpace):
     """A point space for a Boolean lattice: constant-free morphism dual,
     its (single) closure, the clopen algebra, and one kernel per point."""
 
-    subspace: Subspace
-    closure: ClosureOperator
-    clopen: SubsetFamily
     kernels: tuple
 
 
@@ -387,12 +386,7 @@ def _selfdual_sweep(star: Subspace, cap: int) -> list:
     n = star.poset.n
     ups = [star.up_image(p) for p in range(n)]
     los = [star.lo_image(p) for p in range(n)]
-    pair_wit = [
-        ups[p] & ~ups[q]
-        for p in range(n)
-        for q in range(n)
-        if not star.poset.leq(p, q)
-    ]
+    pair_wit = [held for _, _, held in _fullness_witnesses(star)]
     found = []
     for sub in range(1 << m):
         full = True
@@ -595,8 +589,10 @@ def check_poset(
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}, choose from {SUITES}")
     checks = []
-    star = dual_space(poset, dual_cap)
     bounded = poset.is_bounded()
+    # the general checks and the ortho correspondence read the dual space
+    wants_star = suite in ("all", "general") or (suite == "ortho" and bounded)
+    star = dual_space(poset, dual_cap) if wants_star else None
 
     if suite in ("all", "general"):
         rep = representation_report(poset, star)
@@ -811,11 +807,6 @@ def check_poset(
 # --- catalog sweeps ---------------------------------------------------------------
 
 
-def _check_args(args):
-    poset, suite, sweep_cap = args
-    return check_poset(poset, suite=suite, sweep_cap=sweep_cap)
-
-
 def _worker_count() -> int:
     try:
         return max(1, int(os.environ.get("BICLOSURE_THREADS", "1")))
@@ -838,9 +829,9 @@ def sweep_catalog(max_n: int, suite: str = "all", sweep_cap: int = SWEEP_CAP) ->
     posets = []
     for n in range(1, max_n + 1):
         posets.extend(enumerate_posets(n))
-    jobs = [(p, suite, sweep_cap) for p in posets]
+    job = partial(check_poset, suite=suite, sweep_cap=sweep_cap)
     count = _worker_count()
-    if count > 1 and len(jobs) > 1:
+    if count > 1 and len(posets) > 1:
         with ProcessPoolExecutor(max_workers=count) as pool:
-            return list(pool.map(_check_args, jobs))
-    return [_check_args(j) for j in jobs]
+            return list(pool.map(job, posets))
+    return [job(p) for p in posets]

@@ -1,3 +1,4 @@
+import dataclasses
 import types
 
 import biclosure
@@ -5,6 +6,7 @@ import biclosure
 DELETED = (
     "EAGER_CARRIER_LIMIT",
     "IdealFamily",
+    "_check_args",
     "_coincide_mask",
     "_downclosed_subsets",
     "_hull",
@@ -49,3 +51,14 @@ def test_deleted_names_are_gone():
             assert not hasattr(mod, name), (mod.__name__, name)
     assert "represent" not in biclosure.__all__
     assert callable(biclosure.represent_general)
+
+
+def test_stone_space_extends_the_closure_space():
+    space = biclosure.stone(biclosure.boolean_algebra(3))
+    assert isinstance(space, biclosure.ClosureSpace)
+    assert [f.name for f in dataclasses.fields(space)] == [
+        "subspace",
+        "closure",
+        "clopen",
+        "kernels",
+    ]

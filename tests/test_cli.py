@@ -193,6 +193,30 @@ def test_dual_cap_exits_three_on_every_verb(capsys, verb):
     assert "cap" in err
 
 
+ANTICHAIN5 = json.dumps({"elements": list("abcde")})  # 32 dual points
+
+
+@pytest.mark.parametrize(
+    "verb, code",
+    [
+        (["ortho"], 0),
+        (["check", "--suite", "ortho"], 0),
+        (["check", "--suite", "distributive"], 0),
+        (["check", "--suite", "boolean"], 0),
+        (["check", "--suite", "general"], 3),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+)
+def test_dual_cap_binds_only_where_a_dual_space_is_built(capsys, verb, code):
+    # nothing but the general checks reads the dual space of an unbounded
+    # poset, so only they hit the cap
+    got, out, _ = run(capsys, *verb, ANTICHAIN5, "--dual-cap", "10")
+    assert got == code
+    if verb == ["ortho"]:
+        data = json.loads(out)
+        assert data["count"] == 0 and data["correspondence"] is None
+
+
 def test_malformed_json_reports_location(capsys):
     code, _, err = run(capsys, "dual", '{"elements": [,]}')
     assert code == 2

@@ -187,15 +187,19 @@ def test_fullness_witness_names_an_unwitnessed_pair(b4):
     assert not b4.leq(p, q)
 
 
-@settings(max_examples=60)
-@given(st.sampled_from(tiny_catalog), st.data())
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(catalog_upto5), st.data())
 def test_fullness_matches_oracle(p, data):
     star = dual_space(p)
     sub = star.restrict(data.draw(st.integers(0, star.all_mask)))
     one_sets = [set(bits(s)) for s in sub.points]
-    assert is_full(sub)[0] == oracles.brute_is_full(
-        one_sets, p.n, oracles.leq_fn(p)
-    )
+    leq = oracles.leq_fn(p)
+    ok, witness = is_full(sub)
+    assert ok == oracles.brute_is_full(one_sets, p.n, leq)
+    # fullness is order reflection, so the witness is the oracle's first
+    # (p, q) with image(p) inside image(q) and p not below q
+    flags = oracles.brute_order_flags(one_sets, p.n, leq)
+    assert witness == flags["order_reflecting"]
 
 
 @settings(max_examples=60, deadline=None)

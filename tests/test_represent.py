@@ -38,7 +38,12 @@ from biclosure import (
 import biclosure.represent as represent_module
 from biclosure.bitops import bits
 from biclosure.dualspace import Hull
-from biclosure.represent import _correspondence, _lattice_ideals, _worker_count
+from biclosure.represent import (
+    _correspondence,
+    _cuts_generated,
+    _lattice_ideals,
+    _worker_count,
+)
 
 import oracles
 
@@ -134,6 +139,9 @@ def test_order_flags_and_witnesses_match_the_oracle(catalog4, catalog5):
                 assert getattr(report, flag) == (pair is None)
                 labelled = None if pair is None else tuple(p.labels[i] for i in pair)
                 assert report.witnesses.get(flag) == labelled
+            assert report.order_reflecting == report.full
+            witnesses = report.witnesses
+            assert witnesses.get("order_reflecting") == witnesses.get("full")
 
 
 def test_injectivity_is_decided_where_reflection_also_breaks():
@@ -262,6 +270,30 @@ def test_sweep_agrees_with_definition_on_key_shapes(b4, four_chain):
         fast = {s.points for s in selfdual_subspaces(p)}
         slow = {s.points for s in brute_selfdual(p)}
         assert fast == slow
+
+
+def test_sweep_coincidence_test_matches_the_closures(catalog4, catalog5, m4):
+    # the sweep's fast coincidence test against c1 == c2 on the restricted
+    # subspace, on every subset of a dual with at most 8 points and 200
+    # random subsets of each larger one, full or not
+    rng = random.Random(0xC0117)
+    checked = full = 0
+    for p in catalog4 + catalog5 + [m4]:
+        star = dual_space(p)
+        ups = [star.up_image(q) for q in range(p.n)]
+        los = [star.lo_image(q) for q in range(p.n)]
+        if star.size <= 8:
+            subs = range(1 << star.size)
+        else:
+            subs = [rng.getrandbits(star.size) for _ in range(200)]
+        for sub in subs:
+            space = star.restrict(sub)
+            c1, c2 = induced_closures(space)
+            fast = _cuts_generated(ups, sub) and _cuts_generated(los, sub)
+            assert fast == (c1 == c2), (p, sub)
+            checked += 1
+            full += is_full(space)[0]
+    assert 0 < full < checked
 
 
 def test_sweep_counts(b4, four_chain, singleton):
@@ -564,6 +596,16 @@ def test_check_poset_builds_one_dual_space(monkeypatch, m4):
     report = check_poset(m4, sweep_cap=18)
     assert any(c.name == "ortho-correspondence" for c in report.checks)
     assert len(calls) == 1
+
+
+def test_checks_that_read_no_dual_space_build_none(monkeypatch):
+    calls = []
+    count_calls(monkeypatch, represent_module, "dual_space", calls)
+    for suite in ("distributive", "boolean"):
+        assert check_poset(boolean_algebra(4), suite=suite).all_passed
+    # the ortho suite sweeps the dual space of a bounded poset only
+    assert check_poset(antichain(3), suite="ortho").checks == ()
+    assert calls == []
 
 
 def test_each_orthodual_is_built_once(monkeypatch, m4):
