@@ -229,6 +229,18 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="also write a side-by-side DOT diagram here",
             )
 
+    def sweep(p, suite=True):
+        if suite:
+            p.add_argument(
+                "--suite", choices=SUITES, default="all", help="narrow the battery"
+            )
+        p.add_argument(
+            "--s-cap",
+            type=_positive_int,
+            default=SWEEP_CAP,
+            help="bound the subspace sweep: skip it above this many dual points",
+        )
+
     p = sub.add_parser("dual", help="enumerate the dual space")
     common(p, dot=False)
     p.set_defaults(func=_cmd_dual)
@@ -251,12 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ortho", help="list orthocomplementations, match subspaces")
     common(p, dot=False)
-    p.add_argument(
-        "--s-cap",
-        type=_positive_int,
-        default=SWEEP_CAP,
-        help="skip the subspace sweep above this many dual points",
-    )
+    sweep(p, suite=False)
     p.set_defaults(func=_cmd_ortho)
 
     p = sub.add_parser("stone", help="point space of a Boolean lattice")
@@ -265,15 +272,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the law checks on one poset")
     common(p, dot=False)
-    p.add_argument("--suite", choices=SUITES, default="all")
-    p.add_argument("--s-cap", type=_positive_int, default=SWEEP_CAP)
+    sweep(p)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("catalog", help="sweep every class up to --max-n")
-    p.add_argument("--max-n", type=_positive_int, default=MAX_CATALOG_N)
-    p.add_argument("--suite", choices=SUITES, default="all")
-    p.add_argument("--s-cap", type=_positive_int, default=SWEEP_CAP)
-    p.add_argument("--out", default=None)
+    p.add_argument(
+        "--max-n",
+        type=_positive_int,
+        default=MAX_CATALOG_N,
+        help="run the battery over every class of at most this many elements",
+    )
+    sweep(p)
+    p.add_argument("--out", default=None, help="write the report here")
     p.set_defaults(func=_cmd_catalog)
 
     p = sub.add_parser("export-dot", help="input order and represented family, DOT")

@@ -156,22 +156,23 @@ def filter_of(subspace: Subspace, point_indices: int) -> int:
     return out
 
 
-def _galois_pairs(subspace: Subspace, side: int) -> list:
+def _galois_pairs(subspace: Subspace, closures, side: int) -> list:
     """(filter_of(X), X) over the nonempty c1-closed X (side 0), or
     (ideal_of(X), X) over the nonempty c2-closed X (side 1), in mask order."""
     cut = (filter_of, ideal_of)[side]
-    closed = induced_closures(subspace)[side].closed_family
-    return sorted((cut(subspace, x), x) for x in closed if x)
+    return sorted((cut(subspace, x), x) for x in closures[side].closed_family if x)
 
 
 def ideals_wrt(subspace: Subspace) -> SubsetFamily:
     """All A-ideals of the subspace A, in sorted mask order."""
-    return SubsetFamily(subspace.poset.n, (i for i, _ in _galois_pairs(subspace, 1)))
+    pairs = _galois_pairs(subspace, induced_closures(subspace), 1)
+    return SubsetFamily(subspace.poset.n, (i for i, _ in pairs))
 
 
 def filters_wrt(subspace: Subspace) -> SubsetFamily:
     """All A-filters of the subspace A, in sorted mask order."""
-    return SubsetFamily(subspace.poset.n, (f for f, _ in _galois_pairs(subspace, 0)))
+    pairs = _galois_pairs(subspace, induced_closures(subspace), 0)
+    return SubsetFamily(subspace.poset.n, (f for f, _ in pairs))
 
 
 class Hull(NamedTuple):
@@ -231,8 +232,9 @@ def is_separating(subspace: Subspace):
     Returns (answer, counterexample (ideal, filter) masks or None), the
     first in ideal then filter mask order.
     """
-    filters = _galois_pairs(subspace, 0)
-    for ideal, x in _galois_pairs(subspace, 1):
+    closures = induced_closures(subspace)
+    filters = _galois_pairs(subspace, closures, 0)
+    for ideal, x in _galois_pairs(subspace, closures, 1):
         for filt, y in filters:
             if not ideal & filt and not x & y:
                 return False, (ideal, filt)

@@ -102,19 +102,17 @@ class Poset:
             out.append(cov)
         return tuple(out)
 
+    def _spanning(self, rows):
+        """The element whose row is the whole carrier (bottom in up, top in down)."""
+        return next((i for i, row in enumerate(rows) if row == self.full), None)
+
     @cached_property
     def bottom(self):
-        for i in range(self.n):
-            if self.up[i] == self.full:
-                return i
-        return None
+        return self._spanning(self.up)
 
     @cached_property
     def top(self):
-        for i in range(self.n):
-            if self.down[i] == self.full:
-                return i
-        return None
+        return self._spanning(self.down)
 
     def is_bounded(self) -> bool:
         return self.bottom is not None and self.top is not None
@@ -167,17 +165,36 @@ class Poset:
                         return False
         return True
 
+    @cached_property
+    def _complements(self):
+        """_complements[i] is the mask of the j with meet(i, j) = bottom and
+        join(i, j) = top; meaningful on a bounded poset only."""
+        mt, jt, bot, top = self._meet_table, self._join_table, self.bottom, self.top
+        return tuple(
+            mask_of(j for j in range(self.n) if mt[i][j] == bot and jt[i][j] == top)
+            for i in range(self.n)
+        )
+
     def is_boolean(self) -> bool:
-        if not (self.is_bounded() and self.is_distributive()):
-            return False
-        mt, jt = self._meet_table, self._join_table
-        bot, top = self.bottom, self.top
-        for a in range(self.n):
-            if not any(
-                mt[a][x] == bot and jt[a][x] == top for x in range(self.n)
-            ):
-                return False
-        return True
+        """A complemented distributive lattice."""
+        return self.is_bounded() and self.is_distributive() and all(self._complements)
+
+    @cached_property
+    def _profiles(self):
+        """Per element, its (down, up) cone sizes and those of the elements
+        strictly below and above it; sorted, an isomorphism invariant."""
+        base = [
+            (bin(self.down[i]).count("1"), bin(self.up[i]).count("1"))
+            for i in range(self.n)
+        ]
+        return tuple(
+            (
+                base[i],
+                tuple(sorted(base[j] for j in bits(self.down[i] & ~(1 << i)))),
+                tuple(sorted(base[j] for j in bits(self.up[i] & ~(1 << i)))),
+            )
+            for i in range(self.n)
+        )
 
     # --- misc -------------------------------------------------------------
 
@@ -369,13 +386,7 @@ def _ortho_search(poset: Poset):
     anti-isotony against a pair already set. Returns (permutations,
     nodes), where nodes counts the candidate pairs tried.
     """
-    n, up, down = poset.n, poset.up, poset.down
-    mt, jt = poset._meet_table, poset._join_table
-    bot, top = poset.bottom, poset.top
-    comp = [
-        mask_of(j for j in range(n) if mt[i][j] == bot and jt[i][j] == top)
-        for i in range(n)
-    ]
+    n, up, down, comp = poset.n, poset.up, poset.down, poset._complements
     f = [0] * n
     out = []
     nodes = 0
@@ -410,29 +421,10 @@ def _ortho_search(poset: Poset):
 # --- isomorphism --------------------------------------------------------------
 
 
-def _profiles(poset: Poset):
-    base = [
-        (bin(poset.down[i]).count("1"), bin(poset.up[i]).count("1"))
-        for i in range(poset.n)
-    ]
-    refined = []
-    for i in range(poset.n):
-        below = tuple(sorted(base[j] for j in bits(poset.down[i] & ~(1 << i))))
-        above = tuple(sorted(base[j] for j in bits(poset.up[i] & ~(1 << i))))
-        refined.append((base[i], below, above))
-    return refined
-
-
-def _iso_key(poset: Poset):
-    return (poset.n, tuple(sorted(_profiles(poset))))
-
-
 def are_isomorphic(p: Poset, q: Poset):
     """Order isomorphism test; returns (answer, witness index map or None)."""
-    if p.n != q.n:
-        return False, None
-    pp, qq = _profiles(p), _profiles(q)
-    if sorted(pp) != sorted(qq):
+    pp, qq = p._profiles, q._profiles
+    if sorted(pp) != sorted(qq):  # also when the sizes differ
         return False, None
     n = p.n
     cand = [[j for j in range(n) if qq[j] == pp[i]] for i in range(n)]
@@ -539,8 +531,7 @@ def enumerate_posets(n: int, max_n: int = MAX_CATALOG_N) -> list:
     buckets = {}
     for up in _natural_posets(n):
         cand = Poset([f"p{i}" for i in range(n)], up)
-        key = _iso_key(cand)
-        bucket = buckets.setdefault(key, [])
+        bucket = buckets.setdefault(tuple(sorted(cand._profiles)), [])
         if not any(are_isomorphic(cand, rep)[0] for rep in bucket):
             bucket.append(cand)
             reps.append(cand)

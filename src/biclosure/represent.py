@@ -649,15 +649,13 @@ def check_poset(
             for q in range(poset.n)
             if not poset.leq(q, p)
         )
-        sep_ok = rep.separating
-        full_ok = rep.full
         checks.append(
             CheckResult(
                 "separating-cone-fullness",
                 "a separating subspace with disjoint generated cones over "
                 "every non-related pair is full",
-                (not (sep_ok and hyp)) or full_ok,
-                {"separating": sep_ok, "cones_disjoint": hyp, "full": full_ok},
+                (not (rep.separating and hyp)) or rep.full,
+                {"separating": rep.separating, "cones_disjoint": hyp, "full": rep.full},
             )
         )
 
@@ -818,20 +816,18 @@ def sweep_catalog(max_n: int, suite: str = "all", sweep_cap: int = SWEEP_CAP) ->
     """Run the check suite over every isomorphism class up to ``max_n``.
 
     ``max_n`` above MAX_CATALOG_N raises BoundExceeded before anything is
-    enumerated. Worker count comes from BICLOSURE_THREADS; results are in
-    deterministic catalog order either way.
+    enumerated. Workers: BICLOSURE_THREADS, at most one per CPU and per
+    poset; results are in deterministic catalog order either way.
     """
     if max_n > MAX_CATALOG_N:
         raise BoundExceeded(
             f"poset catalog for n={max_n} exceeds the configured bound "
             f"{MAX_CATALOG_N}"
         )
-    posets = []
-    for n in range(1, max_n + 1):
-        posets.extend(enumerate_posets(n))
+    posets = [p for n in range(1, max_n + 1) for p in enumerate_posets(n)]
     job = partial(check_poset, suite=suite, sweep_cap=sweep_cap)
-    count = _worker_count()
-    if count > 1 and len(posets) > 1:
+    count = min(_worker_count(), len(posets), os.cpu_count() or 1)
+    if count > 1:
         with ProcessPoolExecutor(max_workers=count) as pool:
             return list(pool.map(job, posets))
     return [job(p) for p in posets]

@@ -291,6 +291,26 @@ def brute_orthocomplementations(poset):
     return found
 
 
+def brute_complements(poset):
+    """Per element, the set of its complements under naive meets and
+    joins; None when the poset has no bottom or no top."""
+    n = poset.n
+    leq = leq_fn(poset)
+    bottoms = [i for i in range(n) if all(leq(i, j) for j in range(n))]
+    tops = [i for i in range(n) if all(leq(j, i) for j in range(n))]
+    if len(bottoms) != 1 or len(tops) != 1:
+        return None
+    return [
+        {
+            j
+            for j in range(n)
+            if naive_meet(n, leq, i, j) == bottoms[0]
+            and naive_join(n, leq, i, j) == tops[0]
+        }
+        for i in range(n)
+    ]
+
+
 def brute_lattice_ideals(poset):
     """Down-sets closed under naive binary join, the empty set included."""
     n = poset.n

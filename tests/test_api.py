@@ -11,6 +11,7 @@ DELETED = (
     "_downclosed_subsets",
     "_hull",
     "_intersection_closure",
+    "_iso_key",
     "_report",
     "_separating_points",
     "closure_from_base",

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -117,6 +118,32 @@ def test_distributivity_matches_oracle(p):
     assert p.is_distributive() == oracles.brute_is_distributive(p)
 
 
+def test_complement_table_matches_naive_meets_and_joins(
+    catalog4, catalog5, catalog6, m4
+):
+    posets = catalog4 + catalog5 + catalog6
+    posets += [boolean_algebra(3), boolean_algebra(4), m4]
+    bounded = 0
+    for p in posets:
+        want = oracles.brute_complements(p)
+        assert p.is_bounded() == (want is not None)
+        if want is not None:
+            bounded += 1
+            assert [set(bits(mask)) for mask in p._complements] == want
+    # for n >= 2, the bounded n-element classes are the (n - 2)-element
+    # classes with a bottom and a top added
+    assert bounded == 1 + 1 + 1 + 2 + 5 + 16 + 3
+
+
+def test_boolean_means_distributive_and_complemented(catalog4, catalog5, catalog6):
+    lattices = [p for p in catalog4 + catalog5 + catalog6 if p.is_lattice()]
+    assert len(lattices) == 25
+    for p in lattices + [boolean_algebra(3)]:
+        want = oracles.brute_is_distributive(p) and all(oracles.brute_complements(p))
+        assert p.is_boolean() == want
+    assert sum(p.is_boolean() for p in lattices) == 3
+
+
 def test_bounds_detection(b4, vee, pair, singleton):
     assert b4.is_bounded()
     assert singleton.is_bounded()
@@ -146,6 +173,21 @@ def test_class_counts_up_to_five():
 def test_natural_labelings_are_counted_by_a006455():
     counts = [len(_natural_posets(n)) for n in range(7)]
     assert counts == [1, 1, 2, 7, 40, 357, 4824]
+
+
+def test_enumeration_computes_one_profile_per_candidate(monkeypatch):
+    calls = []
+    profiles = Poset._profiles.func
+
+    def counted(poset):
+        calls.append(poset.up)
+        return profiles(poset)
+
+    prop = cached_property(counted)
+    prop.__set_name__(Poset, "_profiles")
+    monkeypatch.setattr(Poset, "_profiles", prop)
+    assert len(enumerate_posets(5)) == 63
+    assert len(calls) == len(_natural_posets(5)) == 357
 
 
 def test_six_element_representatives_are_pinned(catalog6):
@@ -245,6 +287,18 @@ def test_unbounded_poset_has_no_orthocomplementation(vee):
 def test_orthomap_rejects_non_involution(b4):
     with pytest.raises(InvalidOrthoMap):
         OrthoMap(b4, (1, 2, 3, 0))
+
+
+def test_orthomap_rechecks_the_complements_the_search_reads(b4):
+    # the search takes its candidates from the complement table, and
+    # OrthoMap tests meets and joins itself: give each atom itself as a
+    # complement and the search's output must be refused
+    table = list(b4._complements)
+    for atom in bits(b4.covers[b4.bottom]):
+        table[atom] |= 1 << atom
+    b4.__dict__["_complements"] = tuple(table)
+    with pytest.raises(InvalidOrthoMap, match="complement laws fail"):
+        find_orthocomplementations(b4)
 
 
 def test_orthomap_rejects_identity_on_b4(b4):

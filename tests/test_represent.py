@@ -35,6 +35,7 @@ from biclosure import (
     stone,
     sweep_catalog,
 )
+import biclosure.dualspace as dualspace_module
 import biclosure.represent as represent_module
 from biclosure.bitops import bits
 from biclosure.dualspace import Hull
@@ -420,11 +421,47 @@ def test_sweep_catalog_respects_bound():
 
 
 def test_parallel_sweep_matches_serial(monkeypatch):
+    # two CPUs claimed, so the pool runs on a one-CPU machine too
+    monkeypatch.setattr(represent_module.os, "cpu_count", lambda: 2)
     monkeypatch.setenv("BICLOSURE_THREADS", "1")
     serial = sweep_catalog(3)
     monkeypatch.setenv("BICLOSURE_THREADS", "2")
     parallel = sweep_catalog(3)
     assert [r.to_json() for r in serial] == [r.to_json() for r in parallel]
+
+
+def test_sweep_starts_at_most_one_worker_per_cpu_and_poset(monkeypatch):
+    pools = []
+
+    class RecordingPool:
+        # stands in for ProcessPoolExecutor, so no process is started
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(represent_module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setenv("BICLOSURE_THREADS", "5000")
+    serial = [r.to_json() for r in sweep_catalog(3)]
+    for cpus, max_n, want in (
+        (4, 3, [4]),  # 8 posets, 4 CPUs
+        (64, 2, [3]),  # 3 posets
+        (1, 3, []),  # one CPU: serial
+        (None, 3, []),  # CPU count unknown: serial
+        (64, 1, []),  # one poset: serial
+    ):
+        pools.clear()
+        monkeypatch.setattr(represent_module.os, "cpu_count", lambda: cpus)
+        reports = sweep_catalog(max_n)
+        assert pools == want
+        assert [r.to_json() for r in reports] == serial[: len(reports)]
 
 
 def test_worker_count_resolution(monkeypatch):
@@ -562,6 +599,16 @@ def test_sweep_catalog_rejects_the_bound_before_enumerating(monkeypatch):
     with pytest.raises(BoundExceeded):
         sweep_catalog(7)
     assert calls == []
+
+
+def test_separation_builds_one_closure_pair(monkeypatch, m4):
+    calls = []
+    count_calls(monkeypatch, dualspace_module, "induced_closures", calls)
+    star = dual_space(m4)
+    sub = star.restrict(4366)  # five points, not separating
+    assert is_separating(star) == (True, None)
+    assert not is_separating(sub)[0]
+    assert [args[0] for args in calls] == [star, sub]
 
 
 def test_selfdual_sweep_separates_through_is_separating(monkeypatch, m4):
