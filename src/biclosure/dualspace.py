@@ -9,13 +9,14 @@ Ideals and filters here are taken relative to a subspace A: an A-ideal
 is ideal_of(X), the intersection of the kernels x^-1(0) over a nonempty
 X in A, an A-filter filter_of(X), the same with co-kernels x^-1(1); the
 empty X gives the full carrier, a member only when A holds the right
-constant map. By the Galois connection, the A-filters are filter_of(X)
-over the nonempty c1-closed X, the A-ideals ideal_of(X) over the nonempty
+constant map. Both are one cut: the p whose lo-image (up-image) holds X.
+By the Galois connection, the A-filters are filter_of(X) over the
+nonempty c1-closed X, the A-ideals ideal_of(X) over the nonempty
 c2-closed X (c1, c2 the induced closures). The points vanishing on
 ideal_of(X) are X and those holding filter_of(Y) are Y, so a disjoint
-pair is separated by a point of A iff X and Y meet. A hull is the cut
-of the points holding the subset (in the kernel for an ideal, in the
-one-set for a filter), so it takes no family.
+pair is separated by a point of A iff X and Y meet. One hull routine
+serves both sides: AND the images over the subset, then cut, so it
+takes no family.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import NamedTuple
 
 from .bitops import bits
 from .closure import induced_closures
-from .errors import BoundExceeded, InvalidOrthoMap, NotALattice, NotBounded
+from .errors import InvalidOrthoMap, MemberOutOfRange, NotALattice, NotBounded
 from .poset import OrthoMap, Poset, SubsetFamily, _closed, _upsets
 
 DUAL_POINT_CAP = 1 << 20
@@ -141,26 +142,28 @@ def lattice_dual(poset: Poset, cap: int = DUAL_POINT_CAP) -> Subspace:
 # --- ideals and filters relative to a subspace -------------------------------
 
 
+def _cut(subspace: Subspace, image, x: int) -> int:
+    """The p whose image(p) holds every point of x (the full carrier for none)."""
+    if x & ~subspace.all_mask:
+        raise MemberOutOfRange("point indices outside the subspace")
+    return sum(1 << p for p in range(subspace.poset.n) if not x & ~image(p))
+
+
 def ideal_of(subspace: Subspace, point_indices: int) -> int:
     """Intersection of the kernels of the chosen points; full carrier for none."""
-    out = subspace.poset.full
-    for i in bits(point_indices):
-        out &= subspace.kernel(i)
-    return out
+    return _cut(subspace, subspace.lo_image, point_indices)
 
 
 def filter_of(subspace: Subspace, point_indices: int) -> int:
-    out = subspace.poset.full
-    for i in bits(point_indices):
-        out &= subspace.points[i]
-    return out
+    return _cut(subspace, subspace.up_image, point_indices)
 
 
 def _galois_pairs(subspace: Subspace, closures, side: int) -> list:
     """(filter_of(X), X) over the nonempty c1-closed X (side 0), or
     (ideal_of(X), X) over the nonempty c2-closed X (side 1), in mask order."""
-    cut = (filter_of, ideal_of)[side]
-    return sorted((cut(subspace, x), x) for x in closures[side].closed_family if x)
+    image = (subspace.up_image, subspace.lo_image)[side]
+    family = closures[side].closed_family
+    return sorted((_cut(subspace, image, x), x) for x in family if x)
 
 
 def ideals_wrt(subspace: Subspace) -> SubsetFamily:
@@ -186,20 +189,22 @@ class Hull(NamedTuple):
     found: bool
 
 
-def generated_ideal(subspace: Subspace, subset: int) -> Hull:
-    """Smallest A-ideal containing ``subset``, if any contains it at all."""
+def _generated(subspace: Subspace, image, subset: int) -> Hull:
+    """The cut of the points whose image holds all of ``subset``."""
     x = subspace.all_mask
     for p in bits(subset):
-        x &= subspace.lo_image(p)
-    return Hull(ideal_of(subspace, x), x != 0)
+        x &= image(p)
+    return Hull(_cut(subspace, image, x), x != 0)
+
+
+def generated_ideal(subspace: Subspace, subset: int) -> Hull:
+    """Smallest A-ideal containing ``subset``, if any contains it at all."""
+    return _generated(subspace, subspace.lo_image, subset)
 
 
 def generated_filter(subspace: Subspace, subset: int) -> Hull:
     """Smallest A-filter containing ``subset``, if any contains it at all."""
-    x = subspace.all_mask
-    for p in bits(subset):
-        x &= subspace.up_image(p)
-    return Hull(filter_of(subspace, x), x != 0)
+    return _generated(subspace, subspace.up_image, subset)
 
 
 # --- separation properties ----------------------------------------------------
@@ -232,7 +237,11 @@ def is_separating(subspace: Subspace):
     Returns (answer, counterexample (ideal, filter) masks or None), the
     first in ideal then filter mask order.
     """
-    closures = induced_closures(subspace)
+    return _separates(subspace, induced_closures(subspace))
+
+
+def _separates(subspace: Subspace, closures):
+    """``is_separating`` over the subspace's (c1, c2) closure pair."""
     filters = _galois_pairs(subspace, closures, 0)
     for ideal, x in _galois_pairs(subspace, closures, 1):
         for filt, y in filters:

@@ -17,9 +17,9 @@ machine-readable witnesses.
 
 from __future__ import annotations
 
+import concurrent.futures
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
@@ -30,6 +30,7 @@ from .dualspace import (
     DUAL_POINT_CAP,
     Subspace,
     _fullness_witnesses,
+    _separates,
     dual_space,
     filters_wrt,
     generated_filter,
@@ -164,7 +165,7 @@ def representation_report(poset: Poset, subspace: Subspace) -> RepresentationRep
 
     isomorphism = isotone and injective and into and surjective and full_ok
 
-    sep_ok, sep_wit = is_separating(subspace)
+    sep_ok, sep_wit = _separates(subspace, (c1, c2))
     if sep_wit is not None:
         witnesses["separating"] = [
             _subset_labels(poset, sep_wit[0]),
@@ -427,9 +428,9 @@ def induced_orthocomplementation(subspace: Subspace) -> OrthoMap:
         raise NotBounded("complementation needs a bottom and a top")
     if not is_full(subspace)[0]:
         raise NotSelfdual("subspace is not full")
-    if not is_separating(subspace)[0]:
-        raise NotSelfdual("subspace is not separating")
     c1, c2 = induced_closures(subspace)
+    if not _separates(subspace, (c1, c2))[0]:
+        raise NotSelfdual("subspace is not separating")
     if c1 != c2:
         raise NotSelfdual("the two induced closures differ")
     table = [subspace.up_image(p) for p in range(poset.n)]
@@ -828,6 +829,6 @@ def sweep_catalog(max_n: int, suite: str = "all", sweep_cap: int = SWEEP_CAP) ->
     job = partial(check_poset, suite=suite, sweep_cap=sweep_cap)
     count = min(_worker_count(), len(posets), os.cpu_count() or 1)
     if count > 1:
-        with ProcessPoolExecutor(max_workers=count) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=count) as pool:
             return list(pool.map(job, posets))
     return [job(p) for p in posets]

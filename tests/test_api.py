@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import biclosure
 
@@ -63,3 +67,23 @@ def test_stone_space_extends_the_closure_space():
         "clopen",
         "kernels",
     ]
+
+
+def test_no_process_pool_module_is_loaded_until_a_pool_starts():
+    # only BICLOSURE_THREADS > 1 starts a pool; a serial check must not
+    # pay for importing multiprocessing
+    code = (
+        "import sys, biclosure\n"
+        "biclosure.check_poset(biclosure.chain(3))\n"
+        "print('multiprocessing' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "False\n"

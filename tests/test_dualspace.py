@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from biclosure import (
     BoundExceeded,
     InvalidOrthoMap,
+    MemberOutOfRange,
     NotALattice,
     NotBounded,
     Subspace,
@@ -132,6 +133,15 @@ def test_selection_intersects_kernels(b4):
     idx = mask_of([1, 3])
     assert ideal_of(star, idx) == star.kernel(1) & star.kernel(3)
     assert filter_of(star, idx) == star.points[1] & star.points[3]
+
+
+def test_selection_outside_the_subspace_is_rejected(b4):
+    sub = dual_space(b4).restrict(0b1011)
+    for idx in (1 << sub.size, sub.all_mask + 1, -1, -(1 << sub.size)):
+        with pytest.raises(MemberOutOfRange):
+            ideal_of(sub, idx)
+        with pytest.raises(MemberOutOfRange):
+            filter_of(sub, idx)
 
 
 def test_generated_ideal_is_smallest_container(m3):

@@ -447,7 +447,9 @@ def test_sweep_starts_at_most_one_worker_per_cpu_and_poset(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(represent_module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(
+        represent_module.concurrent.futures, "ProcessPoolExecutor", RecordingPool
+    )
     monkeypatch.setenv("BICLOSURE_THREADS", "5000")
     serial = [r.to_json() for r in sweep_catalog(3)]
     for cpus, max_n, want in (
@@ -603,12 +605,22 @@ def test_sweep_catalog_rejects_the_bound_before_enumerating(monkeypatch):
 
 def test_separation_builds_one_closure_pair(monkeypatch, m4):
     calls = []
-    count_calls(monkeypatch, dualspace_module, "induced_closures", calls)
+    for module in (dualspace_module, represent_module):
+        count_calls(monkeypatch, module, "induced_closures", calls)
     star = dual_space(m4)
     sub = star.restrict(4366)  # five points, not separating
     assert is_separating(star) == (True, None)
     assert not is_separating(sub)[0]
     assert [args[0] for args in calls] == [star, sub]
+    # the report and the induced complementation hand their own pair on
+    orthodual = orthodual_space(m4, find_orthocomplementations(m4)[0])
+    for space in (star, sub, orthodual):
+        calls.clear()
+        representation_report(m4, space)
+        assert [args[0] for args in calls] == [space]
+    calls.clear()
+    induced_orthocomplementation(orthodual)
+    assert [args[0] for args in calls] == [orthodual]
 
 
 def test_selfdual_sweep_separates_through_is_separating(monkeypatch, m4):
