@@ -34,7 +34,7 @@ def and_tables(masks, seed: int) -> list:
     """Subset-AND tables over ``masks``, one per block of 8 indices.
 
     Entry b of block k is ``seed`` ANDed with ``masks[8k + j]`` for every
-    bit j of b, so ``and_fold`` reads the AND over any index set with one
+    bit j of b, so ``and_folds`` reads the AND over any index set with one
     lookup per block (the method of the Four Russians). Each table is
     grown by doubling: the upper half is the lower half ANDed with the
     next mask, i.e. t[b] = t[b ^ top] & mask[top]. Equal entries share
@@ -50,13 +50,17 @@ def and_tables(masks, seed: int) -> list:
     return tables
 
 
-def and_fold(tables: list, x: int) -> int:
-    """AND of the seed and the masks indexed by the set bits of x.
+def and_folds(tables: list, xs) -> list:
+    """For each x in xs, the AND of the seed and the masks indexed by the
+    set bits of x: one list comprehension per block over the whole batch.
 
-    x must have no bits beyond the masks the tables were built from.
+    ``tables`` comes from ``and_tables`` (so it has at least one table),
+    and no x may have bits beyond the masks the tables were built from.
     """
-    out = -1
-    for t in tables:
-        out &= t[x & _BLOCK_MASK]
-        x >>= BLOCK
+    first, *rest = tables
+    out = [first[x & _BLOCK_MASK] for x in xs]
+    shift = 0
+    for t in rest:
+        shift += BLOCK
+        out = [o & t[x >> shift & _BLOCK_MASK] for o, x in zip(out, xs)]
     return out

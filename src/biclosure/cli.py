@@ -16,7 +16,7 @@ import sys
 
 from .bitops import bits
 from .closure import closed_open_family, induced_closures
-from .dualspace import DUAL_POINT_CAP, dual_space, orthodual_space
+from .dualspace import DUAL_POINT_CAP, _orthodual, dual_space
 from .errors import BiclosureError, BoundExceeded
 from .poset import (
     MAX_CATALOG_N,
@@ -143,7 +143,7 @@ def _cmd_ortho(args) -> int:
     if poset.is_bounded():
         star = dual_space(poset, args.dual_cap)
         if star.size <= args.s_cap:
-            duals = [orthodual_space(poset, f, args.dual_cap) for f in orthos]
+            duals = [_orthodual(star, f) for f in orthos]
             ok, detail = _correspondence(star, orthos, duals, args.s_cap)
             payload["correspondence"] = detail
             code = 0 if ok else 1

@@ -115,10 +115,14 @@ def orthodual_space(poset: Poset, ortho: OrthoMap, cap: int = DUAL_POINT_CAP) ->
     """Dual points that send complementary elements to complementary values."""
     if ortho.poset != poset:
         raise InvalidOrthoMap("orthocomplementation belongs to a different poset")
-    keep = [
-        s for s in _upsets(poset.up, cap) if ortho.image_mask(s) == poset.full ^ s
-    ]
-    return Subspace(poset, keep)
+    return _orthodual(dual_space(poset, cap), ortho)
+
+
+def _orthodual(star: Subspace, ortho: OrthoMap) -> Subspace:
+    """``orthodual_space`` filtered from the dual space ``star`` of ortho's poset."""
+    full = star.poset.full
+    keep = [s for s in star.points if ortho.image_mask(s) == full ^ s]
+    return Subspace(star.poset, keep)
 
 
 def lattice_dual(poset: Poset, cap: int = DUAL_POINT_CAP) -> Subspace:

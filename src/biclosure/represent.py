@@ -24,12 +24,13 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
 
-from .bitops import and_fold, and_tables, bits
+from .bitops import and_folds, and_tables, bits
 from .closure import ClosureOperator, closed_open_family, induced_closures
 from .dualspace import (
     DUAL_POINT_CAP,
     Subspace,
     _fullness_witnesses,
+    _orthodual,
     _separates,
     dual_space,
     filters_wrt,
@@ -377,6 +378,19 @@ def selfdual_subspaces(
     return _selfdual_sweep(dual_space(poset, dual_cap), cap)
 
 
+# points in the low half of a swept subset: its fullness table has 2^9 entries
+_LOW_BITS = 9
+
+
+def _hit_table(columns) -> list:
+    """Entry b is the OR of columns[j] over the set bits j of b, grown by
+    doubling."""
+    table = [0]
+    for col in columns:
+        table += [h | col for h in table]
+    return table
+
+
 def _selfdual_sweep(star: Subspace, cap: int) -> list:
     """``selfdual_subspaces`` over an already built dual space."""
     m = star.size
@@ -387,21 +401,38 @@ def _selfdual_sweep(star: Subspace, cap: int) -> list:
     n = star.poset.n
     ups = [star.up_image(p) for p in range(n)]
     los = [star.lo_image(p) for p in range(n)]
-    pair_wit = [held for _, _, held in _fullness_witnesses(star)]
+    # a subset is full iff it hits every witness; split it into its low k
+    # points and the rest, and read which witnesses each half hits, as a
+    # bit per witness, from one table per half
+    witnesses = sorted({held for _, _, held in _fullness_witnesses(star)})
+    columns = [
+        sum(1 << w for w, held in enumerate(witnesses) if held >> i & 1)
+        for i in range(m)
+    ]
+    k = min(m, _LOW_BITS)
+    low_hits = _hit_table(columns[:k])
+    every = (1 << len(witnesses)) - 1
     found = []
-    for sub in range(1 << m):
-        full = True
-        for w in pair_wit:
-            if not sub & w:
-                full = False
-                break
-        if not full:
-            continue
-        if not (_cuts_generated(ups, sub) and _cuts_generated(los, sub)):
-            continue
-        space = star.restrict(sub)
-        if is_separating(space)[0]:
-            found.append(space)
+    # the low halves completing each high half, cached per missing set of
+    # witnesses (M4 has 74 for 512 high halves); the lists share one copy
+    # of the ints
+    index = list(range(1 << k))
+    lows_for: dict = {}
+    for high, high_hit in enumerate(_hit_table(columns[k:])):
+        need = every & ~high_hit
+        lows = lows_for.get(need)
+        if lows is None:
+            lows = lows_for[need] = [
+                b for b, hit in zip(index, low_hits) if hit & need == need
+            ]
+        base = high << k
+        for low in lows:
+            sub = base | low
+            if not (_cuts_generated(ups, sub) and _cuts_generated(los, sub)):
+                continue
+            space = star.restrict(sub)
+            if is_separating(space)[0]:
+                found.append(space)
     return found
 
 
@@ -459,7 +490,7 @@ def ortho_correspondence(
         raise NotBounded("the correspondence is stated for bounded posets")
     star = dual_space(poset, dual_cap)
     orthos = find_orthocomplementations(poset)
-    duals = [orthodual_space(poset, f, dual_cap) for f in orthos]
+    duals = [_orthodual(star, f) for f in orthos]
     return _correspondence(star, orthos, duals, cap)
 
 
@@ -541,7 +572,9 @@ def _closure_formula_agrees(subspace: Subspace, c1, c2, xs):
     The right-hand sides come from the points' one-sets alone: blocked
     AND tables give the A-filter and the A-ideal cut out by x, then the
     intersection of the up-images (lo-images) over them. No table looks
-    at apply() or at which images contain x.
+    at apply() or at which images contain x. The tables are folded over
+    a batch of the sequence xs at a time; apply() is still called once
+    per x and closure. The witness is the first failing x in xs.
     """
     n = subspace.poset.n
     carrier = subspace.poset.full
@@ -551,11 +584,17 @@ def _closure_formula_agrees(subspace: Subspace, c1, c2, xs):
     )
     ups = and_tables([subspace.up_image(p) for p in range(n)], subspace.all_mask)
     los = and_tables([subspace.lo_image(p) for p in range(n)], subspace.all_mask)
-    for x in xs:
-        if c1.apply(x) != and_fold(ups, and_fold(cokernels, x)):
-            return False, x
-        if c2.apply(x) != and_fold(los, and_fold(kernels, x)):
-            return False, x
+    for start in range(0, len(xs), _BATCH):
+        batch = xs[start : start + _BATCH]
+        got1 = list(map(c1.apply, batch))
+        got2 = list(map(c2.apply, batch))
+        want1 = and_folds(ups, and_folds(cokernels, batch))
+        want2 = and_folds(los, and_folds(kernels, batch))
+        if got1 != want1 or got2 != want2:
+            rows = zip(batch, got1, want1, got2, want2)
+            return False, next(
+                x for x, g1, w1, g2, w2 in rows if g1 != w1 or g2 != w2
+            )
     return True, None
 
 
@@ -563,6 +602,8 @@ def _closure_formula_agrees(subspace: Subspace, c1, c2, xs):
 # and this many seeded random subsets above it
 _EXHAUSTIVE_LIMIT = 12
 _SAMPLES = 2048
+# subsets per fold of the closure-equation tables
+_BATCH = 256
 
 
 def _subset_sample(m: int):
@@ -676,7 +717,7 @@ def check_poset(
 
     if suite in ("all", "ortho") and bounded:
         orthos = find_orthocomplementations(poset)
-        duals = [orthodual_space(poset, f, dual_cap) for f in orthos]
+        duals = [_orthodual(star, f) for f in orthos]
         for k, (f, space) in enumerate(zip(orthos, duals)):
             rep3 = representation_report(poset, space)
             laws = _ortho_laws(poset, f, rep3)

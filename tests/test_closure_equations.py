@@ -1,4 +1,5 @@
-"""The closure-equation check: blocked AND tables and their failure path."""
+"""The closure-equation check: blocked AND tables folded over batches of
+subsets, and its failure path."""
 
 from functools import reduce
 
@@ -18,8 +19,8 @@ from biclosure import (
     ideal_of,
     induced_closures,
 )
-from biclosure.bitops import and_fold, and_tables, bits
-from biclosure.represent import _closure_formula_agrees, _subset_sample
+from biclosure.bitops import and_folds, and_tables, bits
+from biclosure.represent import _BATCH, _closure_formula_agrees, _subset_sample
 
 small_duals = (
     [p for n in range(1, 5) for p in enumerate_posets(n)]
@@ -32,25 +33,32 @@ def naive_fold(masks, seed, x):
 
 
 @st.composite
-def masks_and_subset(draw):
+def masks_and_subsets(draw):
     width = draw(st.integers(1, 40))
     masks = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=20))
     seed = draw(st.integers(0, (1 << width) - 1))
-    x = draw(st.integers(0, (1 << len(masks)) - 1))
-    return masks, seed, x
+    xs = draw(st.lists(st.integers(0, (1 << len(masks)) - 1), max_size=40))
+    return masks, seed, xs
 
 
-@given(masks_and_subset())
-@example(([], 0b1011, 0))
-@example(([0b110] * 8, 0b111, 0))
-@example(([0b110, 0b011, 0b101] * 3, 0b111, 0b111111111))
-@example(([(1 << 20) - 1 - (1 << i) for i in range(20)], (1 << 20) - 1, (1 << 20) - 1))
+@given(masks_and_subsets())
+@example(([], 0b1011, [0]))
+@example(([], 0b1011, []))
+@example(([0b110] * 8, 0b111, [0, 0b11111111, 0b1]))
+@example(([0b110, 0b011, 0b101] * 3, 0b111, [0b111111111]))
+@example(([(1 << 20) - 1 - (1 << i) for i in range(20)], (1 << 20) - 1, [(1 << 20) - 1]))
 @settings(max_examples=300, deadline=None)
 def test_blocked_fold_matches_naive_fold(case):
-    masks, seed, x = case
+    masks, seed, xs = case
     tables = and_tables(masks, seed)
     assert len(tables) == max(1, -(-len(masks) // 8))
-    assert and_fold(tables, x) == naive_fold(masks, seed, x)
+    want = [naive_fold(masks, seed, x) for x in xs]
+    # one batch of every x, one batch per x, and a range as the
+    # exhaustive check passes it
+    assert and_folds(tables, xs) == want
+    assert [and_folds(tables, [x])[0] for x in xs] == want
+    span = range(min(1 << len(masks), 300))
+    assert and_folds(tables, span) == [naive_fold(masks, seed, x) for x in span]
 
 
 @given(st.sampled_from(small_duals), st.data())
@@ -62,11 +70,18 @@ def test_blocked_fold_matches_filter_of_and_ideal_of(poset, data):
     space = star.restrict(data.draw(st.integers(1, star.all_mask)))
     carrier = poset.full
     kernels = [space.kernel(i) for i in range(space.size)]
-    x = data.draw(
-        st.integers(0, space.all_mask) | st.sampled_from((0, space.all_mask))
+    xs = data.draw(
+        st.lists(
+            st.integers(0, space.all_mask) | st.sampled_from((0, space.all_mask)),
+            min_size=1,
+            max_size=30,
+        )
     )
-    assert and_fold(and_tables(space.points, carrier), x) == filter_of(space, x)
-    assert and_fold(and_tables(kernels, carrier), x) == ideal_of(space, x)
+    filters = and_folds(and_tables(space.points, carrier), xs)
+    ideals = and_folds(and_tables(kernels, carrier), xs)
+    assert filters == [filter_of(space, x) for x in xs]
+    assert ideals == [ideal_of(space, x) for x in xs]
+    assert and_folds(and_tables(kernels, carrier), xs[:1]) == ideals[:1]
 
 
 def test_check_calls_apply_twice_per_subset(monkeypatch):
@@ -129,3 +144,63 @@ def test_corrupted_apply_fails_the_check(monkeypatch, poset, pick, which):
     result = _equations(poset)
     assert not result.passed
     assert result.witness == {"subset": sorted(bits(subset))}
+
+
+# --- the witness across batch boundaries -------------------------------------------
+
+
+def _corrupt_many(monkeypatch, flips):
+    """Flip the lowest bit of apply(x) for the closure whose base is
+    flips[x], and nothing else."""
+    original = ClosureOperator.apply
+
+    def flipped(self, x):
+        out = original(self, x)
+        if x in flips and self.base == flips[x].base:
+            out ^= 1
+        return out
+
+    monkeypatch.setattr(ClosureOperator, "apply", flipped)
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["c1", "c2"])
+@pytest.mark.parametrize(
+    "poset, pick",
+    [(chain(11), 3000), (chain(13), 1999)],
+    ids=["exhaustive-m12", "sampled-m14"],
+)
+def test_witness_past_the_first_batch(monkeypatch, poset, pick, which):
+    star = dual_space(poset)
+    xs = _subset_sample(star.size)
+    subset = xs[pick]
+    assert pick >= _BATCH and xs.index(subset) == pick
+    closures = induced_closures(star)
+    assert closures[0].base != closures[1].base
+    _corrupt_many(monkeypatch, {subset: closures[which]})
+    assert _closure_formula_agrees(star, *closures, xs) == (False, subset)
+    result = _equations(poset)
+    assert not result.passed
+    assert result.witness == {"subset": sorted(bits(subset))}
+
+
+@pytest.mark.parametrize(
+    "poset, early, late",
+    [
+        (chain(10), 5, 200),  # m = 11, one batch
+        (chain(10), 100, 1500),  # m = 11, two batches
+        (chain(13), 300, 301),  # sampled, one batch past the first
+        (chain(13), 10, 2047),  # sampled, first and last batch
+    ],
+)
+def test_witness_is_the_earliest_failing_subset(monkeypatch, poset, early, late):
+    # c2 fails at the earlier subset and c1 at the later one, so testing
+    # c1 first across the whole sample would name the later subset
+    star = dual_space(poset)
+    xs = _subset_sample(star.size)
+    first, second = xs[early], xs[late]
+    assert xs.index(first) == early and xs.index(second) == late
+    c1, c2 = induced_closures(star)
+    assert c1.base != c2.base
+    _corrupt_many(monkeypatch, {first: c2, second: c1})
+    assert _closure_formula_agrees(star, c1, c2, xs) == (False, first)
+    assert _equations(poset).witness == {"subset": sorted(bits(first))}

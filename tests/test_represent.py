@@ -1,3 +1,4 @@
+import json
 import os
 import random
 
@@ -14,6 +15,7 @@ from biclosure import (
     NotSelfdual,
     antichain,
     boolean_algebra,
+    build_poset,
     chain,
     check_poset,
     clopen_sets,
@@ -38,7 +40,7 @@ from biclosure import (
 import biclosure.dualspace as dualspace_module
 import biclosure.represent as represent_module
 from biclosure.bitops import bits
-from biclosure.dualspace import Hull
+from biclosure.dualspace import Hull, _fullness_witnesses
 from biclosure.represent import (
     _correspondence,
     _cuts_generated,
@@ -271,6 +273,71 @@ def test_sweep_agrees_with_definition_on_key_shapes(b4, four_chain):
         fast = {s.points for s in selfdual_subspaces(p)}
         slow = {s.points for s in brute_selfdual(p)}
         assert fast == slow
+
+
+# two 2-chains under a top, two 2-chains over a bottom, and the hexagon:
+# duals of 10, 10 and 11 points with one selfdual subspace each
+two_chains_up = build_poset(list("abcde"), [("a", "c"), ("c", "e"), ("b", "d"), ("d", "e")])
+two_chains_down = build_poset(list("abcde"), [("a", "b"), ("b", "d"), ("a", "c"), ("c", "e")])
+hexagon = build_poset(
+    list("0abcd1"),
+    [("0", "a"), ("0", "b"), ("a", "c"), ("b", "d"), ("c", "1"), ("d", "1")],
+)
+
+
+@pytest.mark.parametrize(
+    "shape", ["m3", "chain10", "chain11", "two_chains_up", "two_chains_down", "hexagon"]
+)
+def test_sweep_matches_definition_beyond_one_block(shape, m3):
+    # duals of 10 to 12 points: the sweep's low-half table covers 9, so
+    # the high-half lookup decides part of every sweep
+    p = {
+        "m3": m3,
+        "chain10": chain(10),
+        "chain11": chain(11),
+        "two_chains_up": two_chains_up,
+        "two_chains_down": two_chains_down,
+        "hexagon": hexagon,
+    }[shape]
+    star = dual_space(p)
+    assert 10 <= star.size <= 12
+    fast = [s.points for s in selfdual_subspaces(p, cap=star.size)]
+    slow = [s.points for s in brute_selfdual(p)]
+    assert fast == slow
+    assert len(fast) == (shape not in ("m3", "chain10", "chain11"))
+
+
+@pytest.mark.parametrize("low_bits", [0, 1, 2, 3])
+def test_sweep_with_a_narrow_low_table_matches_definition(monkeypatch, low_bits, b4, vee):
+    # with a low table of a few points, the selfdual subspaces found lie
+    # mostly in the high half
+    monkeypatch.setattr(represent_module, "_LOW_BITS", low_bits)
+    found = 0
+    for p in (b4, vee, two_chains_up, two_chains_down):
+        fast = [s.points for s in selfdual_subspaces(p, cap=10)]
+        assert fast == [s.points for s in brute_selfdual(p)]
+        found += len(fast)
+    assert found >= 4
+
+
+def test_m4_sweep_matches_a_per_subset_fullness_test(m4):
+    # the M4 sweep (18 points, two halves of 9) against the plain loop
+    # that tests every subset against every fullness witness
+    star = dual_space(m4)
+    ups = [star.up_image(p) for p in range(m4.n)]
+    los = [star.lo_image(p) for p in range(m4.n)]
+    held = [h for _, _, h in _fullness_witnesses(star)]
+    plain = [
+        sub
+        for sub in range(1 << star.size)
+        if all(sub & h for h in held)
+        and _cuts_generated(ups, sub)
+        and _cuts_generated(los, sub)
+        and is_separating(star.restrict(sub))[0]
+    ]
+    found = selfdual_subspaces(m4, cap=18)
+    assert [s.points for s in found] == [star.restrict(sub).points for sub in plain]
+    assert len(found) == 3 and max(plain) >= 1 << 9
 
 
 def test_sweep_coincidence_test_matches_the_closures(catalog4, catalog5, m4):
@@ -672,7 +739,7 @@ def test_each_orthodual_is_built_once(monkeypatch, m4):
     # ortho-representation check and the correspondence
     monkeypatch.delenv("BICLOSURE_THREADS", raising=False)
     calls = []
-    count_calls(monkeypatch, represent_module, "orthodual_space", calls)
+    count_calls(monkeypatch, represent_module, "_orthodual", calls)
     report = check_poset(m4, sweep_cap=18)
     assert report.all_passed
     assert any(c.name == "ortho-correspondence" for c in report.checks)
@@ -680,3 +747,20 @@ def test_each_orthodual_is_built_once(monkeypatch, m4):
     calls.clear()
     sweep_catalog(6)
     assert len(calls) == 7
+
+
+def test_ortho_suite_enumerates_the_up_sets_once(monkeypatch, m4):
+    # each orthodual is filtered from the dual space check_poset holds;
+    # built through the public orthodual_space, the report is the same
+    calls = []
+    count_calls(monkeypatch, dualspace_module, "_upsets", calls)
+    fast = check_poset(m4, suite="ortho", sweep_cap=18)
+    assert [args[0] for args in calls] == [m4.up]
+    monkeypatch.setattr(
+        represent_module, "_orthodual", lambda star, f: orthodual_space(m4, f)
+    )
+    calls.clear()
+    slow = check_poset(m4, suite="ortho", sweep_cap=18)
+    assert len(calls) == 1 + len(find_orthocomplementations(m4))
+    assert json.dumps(fast.to_json()) == json.dumps(slow.to_json())
+    assert fast.all_passed
