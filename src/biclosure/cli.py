@@ -139,10 +139,19 @@ def _cmd_ortho(args) -> int:
     }
     code = 0
     # the correspondence is stated for bounded posets only, so only they
-    # need the dual space
+    # need the dual space, and the sweep reads it only up to --s-cap
+    # points: a larger one is never built
     if poset.is_bounded():
-        star = dual_space(poset, args.dual_cap)
-        if star.size <= args.s_cap:
+        try:
+            star = dual_space(poset, args.s_cap)
+        except BoundExceeded:
+            pass
+        else:
+            if star.size > args.dual_cap:
+                raise BoundExceeded(
+                    f"dual space has {star.size} points, "
+                    f"over the configured cap {args.dual_cap}"
+                )
             duals = [_orthodual(star, f) for f in orthos]
             ok, detail = _correspondence(star, orthos, duals, args.s_cap)
             payload["correspondence"] = detail

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import permutations, product
 
 from .bitops import bits, mask_of
 from .errors import (
@@ -82,11 +83,7 @@ class Poset:
     @cached_property
     def down(self):
         """down[j] is the mask of all i with i <= j."""
-        out = [0] * self.n
-        for i, row in enumerate(self.up):
-            for j in bits(row):
-                out[j] |= 1 << i
-        return tuple(out)
+        return _transpose(self.up)
 
     @cached_property
     def covers(self):
@@ -183,18 +180,7 @@ class Poset:
     def _profiles(self):
         """Per element, its (down, up) cone sizes and those of the elements
         strictly below and above it; sorted, an isomorphism invariant."""
-        base = [
-            (bin(self.down[i]).count("1"), bin(self.up[i]).count("1"))
-            for i in range(self.n)
-        ]
-        return tuple(
-            (
-                base[i],
-                tuple(sorted(base[j] for j in bits(self.down[i] & ~(1 << i)))),
-                tuple(sorted(base[j] for j in bits(self.up[i] & ~(1 << i)))),
-            )
-            for i in range(self.n)
-        )
+        return next(_refinements(self.up, self.down))
 
     # --- misc -------------------------------------------------------------
 
@@ -214,6 +200,41 @@ class Poset:
 
     def __repr__(self):
         return f"Poset({self.n} elements)"
+
+
+def _transpose(up) -> tuple:
+    """The down-rows of the order with up-rows ``up``."""
+    out = [0] * len(up)
+    for i, row in enumerate(up):
+        for j in bits(row):
+            out[j] |= 1 << i
+    return tuple(out)
+
+
+def _refinements(up, down):
+    """Successive colourings of the elements of the order with rows ``up``
+    and ``down``, each an isomorphism invariant.
+
+    The first is the profiles: each element's (down, up) cone sizes with
+    the sorted sizes of the elements strictly below and strictly above
+    it. Each later one replaces the colours by their ranks and refines
+    them the same way.
+    """
+    below = [list(bits(row & ~(1 << i))) for i, row in enumerate(down)]
+    above = [list(bits(row & ~(1 << i))) for i, row in enumerate(up)]
+    colour = [(d.bit_count(), u.bit_count()) for u, d in zip(up, down)]
+    while True:
+        colour = tuple(
+            (
+                c,
+                tuple(sorted([colour[j] for j in b])),
+                tuple(sorted([colour[j] for j in a])),
+            )
+            for c, b, a in zip(colour, below, above)
+        )
+        yield colour
+        rank = {c: r for r, c in enumerate(sorted(set(colour)))}
+        colour = [rank[c] for c in colour]
 
 
 def build_poset(labels, pairs) -> Poset:
@@ -496,29 +517,74 @@ def _closed(table, d: int) -> bool:
     return all(d >> table[i][j] & 1 for i in bits(d) for j in bits(d))
 
 
-def _natural_posets(n):
-    """All posets on 0..n-1 whose order respects the integer order.
+def _natural_posets(n, tag=None, grow=lambda tag, d: tag):
+    """All posets on 0..n-1 whose order respects the integer order, as
+    (up-rows, tag) pairs.
 
-    Element k is attached as a maximal element above a down-set of the
+    Element k is attached as a maximal element above a down-set d of the
     first k, so every output is transitive by construction and every
     isomorphism class appears (each finite poset has a linear extension).
+    The empty poset carries ``tag``, and each child grow(parent's tag, d).
     """
-    posets = [()]
-    for k in range(n):
-        grown = []
-        for up in posets:
-            down = [mask_of(i for i in range(k) if up[i] >> j & 1) for j in range(k)]
-            for d in sorted(_upsets(down, 1 << k)):
-                new_up = tuple(
-                    up[i] | (1 << k) if d >> i & 1 else up[i] for i in range(k)
-                ) + (1 << k,)
-                grown.append(new_up)
-        posets = grown
+    posets = [((), tag)]
+    for _ in range(n):
+        posets = [(_grown(up, d), grow(t, d)) for up, t, d in _children(posets)]
     return posets
 
 
+def _children(posets):
+    """Each (up-rows, tag) pair of ``posets`` with each down-set d of its
+    order, in ascending order of d: the next level of ``_natural_posets``."""
+    for up, tag in posets:
+        for d in sorted(_upsets(_transpose(up), 1 << len(up))):
+            yield up, tag, d
+
+
+def _grown(up, d: int) -> tuple:
+    """The up-rows ``up`` with one new maximal element above the down-set d."""
+    top = 1 << len(up)
+    rows = [row | top if d >> i & 1 else row for i, row in enumerate(up)]
+    return tuple(rows) + (top,)
+
+
+def _canonical(up):
+    """Canonical form of the order with up-rows ``up``: (key, pos).
+
+    Colours start as the profiles and are refined until the partition into
+    colour cells is stable. The key is the least tuple of relabelled
+    up-rows over the orders that list the cells by colour, and pos[i] is
+    element i's place in one such order. Colours are an isomorphism
+    invariant, so two orders get equal keys exactly when they are
+    isomorphic, and the key is itself the up-rows of a labelling.
+    """
+    n = len(up)
+    rounds = _refinements(up, _transpose(up))
+    colour = next(rounds)
+    while len(set(colour)) < n:
+        refined = next(rounds)
+        if len(set(refined)) == len(set(colour)):
+            break
+        colour = refined
+    cells = [
+        [i for i, c in enumerate(colour) if c == cell] for cell in sorted(set(colour))
+    ]
+    ups = [list(bits(row)) for row in up]
+    best = None
+    for parts in product(*map(permutations, cells)):
+        order = [i for part in parts for i in part]
+        pos = [0] * n
+        for k, i in enumerate(order):
+            pos[i] = k
+        key = tuple([sum([1 << pos[j] for j in ups[i]]) for i in order])
+        if best is None or key < best[0]:
+            best = key, tuple(pos)
+    return best
+
+
 def enumerate_posets(n: int, max_n: int = MAX_CATALOG_N) -> list:
-    """One representative per isomorphism class of n-element posets.
+    """One representative per isomorphism class of n-element posets: the
+    first labelling of each class that ``_natural_posets`` lists, in that
+    order, labelled p0..p{n-1}.
 
     The count grows fast (318 classes at n=6, 2045 at n=7), hence the
     guard; pass a larger ``max_n`` deliberately to go past it.
@@ -527,14 +593,35 @@ def enumerate_posets(n: int, max_n: int = MAX_CATALOG_N) -> list:
         raise BoundExceeded(
             f"poset catalog for n={n} exceeds the configured bound {max_n}"
         )
+    if n == 0:
+        return [Poset((), ())]
+    # a labelling whose pos maps it onto the key C grows over d into a
+    # copy of C grown over pos(d), so the child's key is memoized on
+    # (C, pos(d)); a child that is grown further gets its pos composed
+    # from the two, and a labelling of the last level is only keyed
+    memo = {}
+
+    def child(tag, d):
+        key, pos = tag
+        image = sum([1 << p for i, p in enumerate(pos) if d >> i & 1])
+        hit = memo.get((key, image))
+        if hit is None:
+            hit = memo[key, image] = _canonical(_grown(key, image))
+        return hit
+
+    def grow(tag, d):
+        key, child_pos = child(tag, d)
+        pos = tag[1]
+        return key, tuple(map(child_pos.__getitem__, pos)) + (child_pos[len(pos)],)
+
+    labels = [f"p{i}" for i in range(n)]
     reps = []
-    buckets = {}
-    for up in _natural_posets(n):
-        cand = Poset([f"p{i}" for i in range(n)], up)
-        bucket = buckets.setdefault(tuple(sorted(cand._profiles)), [])
-        if not any(are_isomorphic(cand, rep)[0] for rep in bucket):
-            bucket.append(cand)
-            reps.append(cand)
+    seen = set()
+    for up, tag, d in _children(_natural_posets(n - 1, ((), ()), grow)):
+        key, _ = child(tag, d)
+        if key not in seen:
+            seen.add(key)
+            reps.append(Poset(labels, _grown(up, d)))
     return reps
 
 

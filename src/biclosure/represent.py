@@ -572,15 +572,17 @@ def _closure_formula_agrees(subspace: Subspace, c1, c2, xs):
     The right-hand sides come from the points' one-sets alone: blocked
     AND tables give the A-filter and the A-ideal cut out by x, then the
     intersection of the up-images (lo-images) over them. No table looks
-    at apply() or at which images contain x. The tables are folded over
-    a batch of the sequence xs at a time; apply() is still called once
-    per x and closure. The witness is the first failing x in xs.
+    at apply() or at which images contain x. Each point is packed as its
+    one-set beside its kernel shifted by n, so one fold gives the filter
+    in the low n bits and the ideal above them. The tables are folded
+    over a batch of the sequence xs at a time; apply() is still called
+    once per x and closure. The witness is the first failing x in xs.
     """
     n = subspace.poset.n
     carrier = subspace.poset.full
-    cokernels = and_tables(subspace.points, carrier)
-    kernels = and_tables(
-        [subspace.kernel(i) for i in range(subspace.size)], carrier
+    cuts = and_tables(
+        [s | subspace.kernel(i) << n for i, s in enumerate(subspace.points)],
+        carrier | carrier << n,
     )
     ups = and_tables([subspace.up_image(p) for p in range(n)], subspace.all_mask)
     los = and_tables([subspace.lo_image(p) for p in range(n)], subspace.all_mask)
@@ -588,8 +590,9 @@ def _closure_formula_agrees(subspace: Subspace, c1, c2, xs):
         batch = xs[start : start + _BATCH]
         got1 = list(map(c1.apply, batch))
         got2 = list(map(c2.apply, batch))
-        want1 = and_folds(ups, and_folds(cokernels, batch))
-        want2 = and_folds(los, and_folds(kernels, batch))
+        both = and_folds(cuts, batch)
+        want1 = and_folds(ups, [cut & carrier for cut in both])
+        want2 = and_folds(los, [cut >> n for cut in both])
         if got1 != want1 or got2 != want2:
             rows = zip(batch, got1, want1, got2, want2)
             return False, next(

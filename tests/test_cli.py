@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from biclosure import boolean_algebra, poset_to_json
 from biclosure.cli import main
 
 B4 = json.dumps(
@@ -215,6 +216,21 @@ def test_dual_cap_binds_only_where_a_dual_space_is_built(capsys, verb, code):
     if verb == ["ortho"]:
         data = json.loads(out)
         assert data["count"] == 0 and data["correspondence"] is None
+
+
+B8 = json.dumps(poset_to_json(boolean_algebra(3)))  # 20 dual points
+
+
+def test_ortho_never_builds_a_dual_the_sweep_would_skip(capsys):
+    # above --s-cap no check reads the dual space, so --dual-cap cannot bind
+    code, out, _ = run(capsys, "ortho", B8, "--dual-cap", "15")
+    assert code == 0
+    data = json.loads(out)
+    assert data["count"] > 0 and data["correspondence"] is None
+    # within --s-cap the sweep reads it, and --dual-cap binds again
+    code, out, err = run(capsys, "ortho", B8, "--dual-cap", "15", "--s-cap", "20")
+    assert code == 3
+    assert out == "" and "cap" in err
 
 
 def test_malformed_json_reports_location(capsys):

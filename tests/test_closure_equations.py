@@ -64,12 +64,13 @@ def test_blocked_fold_matches_naive_fold(case):
 @given(st.sampled_from(small_duals), st.data())
 @settings(max_examples=150, deadline=None)
 def test_blocked_fold_matches_filter_of_and_ideal_of(poset, data):
-    # the AND tables intersect one-sets and kernels point by point, an
-    # independent check of the cut over up- and lo-images
+    # the packed AND table intersects one-sets (low n bits) and kernels
+    # (shifted by n) point by point, as the closure-equation check builds
+    # it: an independent check of the cut over up- and lo-images
     star = dual_space(poset)
     space = star.restrict(data.draw(st.integers(1, star.all_mask)))
-    carrier = poset.full
-    kernels = [space.kernel(i) for i in range(space.size)]
+    n, carrier = poset.n, poset.full
+    packed = [s | space.kernel(i) << n for i, s in enumerate(space.points)]
     xs = data.draw(
         st.lists(
             st.integers(0, space.all_mask) | st.sampled_from((0, space.all_mask)),
@@ -77,11 +78,11 @@ def test_blocked_fold_matches_filter_of_and_ideal_of(poset, data):
             max_size=30,
         )
     )
-    filters = and_folds(and_tables(space.points, carrier), xs)
-    ideals = and_folds(and_tables(kernels, carrier), xs)
-    assert filters == [filter_of(space, x) for x in xs]
-    assert ideals == [ideal_of(space, x) for x in xs]
-    assert and_folds(and_tables(kernels, carrier), xs[:1]) == ideals[:1]
+    tables = and_tables(packed, carrier | carrier << n)
+    both = and_folds(tables, xs)
+    assert [cut & carrier for cut in both] == [filter_of(space, x) for x in xs]
+    assert [cut >> n for cut in both] == [ideal_of(space, x) for x in xs]
+    assert and_folds(tables, xs[:1]) == both[:1]
 
 
 def test_check_calls_apply_twice_per_subset(monkeypatch):

@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import json
-from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -28,13 +27,15 @@ from biclosure import (
     poset_to_dot,
     poset_to_json,
 )
-from biclosure.bitops import bits
-from biclosure.poset import _natural_posets, _upsets
+from biclosure import poset as poset_module
+from biclosure.bitops import bits, mask_of
+from biclosure.poset import _canonical, _natural_posets, _upsets
 
 import oracles
 
 small_catalog = [p for n in range(1, 5) for p in enumerate_posets(n)]
 catalog_strategy = st.sampled_from(small_catalog)
+catalog_upto6 = small_catalog + enumerate_posets(5) + enumerate_posets(6)
 
 
 # --- construction and validation -------------------------------------------------------
@@ -175,19 +176,70 @@ def test_natural_labelings_are_counted_by_a006455():
     assert counts == [1, 1, 2, 7, 40, 357, 4824]
 
 
-def test_enumeration_computes_one_profile_per_candidate(monkeypatch):
-    calls = []
-    profiles = Poset._profiles.func
+def test_enumeration_builds_one_poset_per_class(monkeypatch):
+    # candidates are told apart by their canonical keys, memoized through
+    # the generation tree; only a labelling opening a class becomes a Poset
+    built, keyed = [], []
+    init, canonical = Poset.__init__, poset_module._canonical
 
-    def counted(poset):
-        calls.append(poset.up)
-        return profiles(poset)
+    def counted_init(self, labels, up):
+        built.append(up)
+        init(self, labels, up)
 
-    prop = cached_property(counted)
-    prop.__set_name__(Poset, "_profiles")
-    monkeypatch.setattr(Poset, "_profiles", prop)
+    def counted_canonical(up):
+        keyed.append(up)
+        return canonical(up)
+
+    monkeypatch.setattr(Poset, "__init__", counted_init)
+    monkeypatch.setattr(poset_module, "_canonical", counted_canonical)
     assert len(enumerate_posets(5)) == 63
-    assert len(calls) == len(_natural_posets(5)) == 357
+    assert len(built) == 63
+    assert 0 < len(keyed) < len(_natural_posets(5)) == 357
+
+
+def _relabelled(up, pos):
+    """The up-rows after moving each element i to place pos[i]."""
+    out = [0] * len(up)
+    for i, row in enumerate(up):
+        out[pos[i]] = mask_of(pos[j] for j in bits(row))
+    return tuple(out)
+
+
+def test_canonical_keys_agree_with_the_oracle():
+    # over every natural labelling up to n = 5, two labellings get equal
+    # keys exactly when their brute-force canonical relations are equal
+    for n in range(1, 6):
+        pairs = set()
+        for up, _ in _natural_posets(n):
+            key, pos = _canonical(up)
+            assert _relabelled(up, pos) == key
+            form = oracles.canonical_relation(n, lambda i, j: bool(up[i] >> j & 1))
+            pairs.add((key, form))
+        keys = {key for key, _ in pairs}
+        forms = {form for _, form in pairs}
+        assert len(keys) == len(forms) == len(pairs)
+
+
+@given(st.sampled_from(catalog_upto6), st.randoms(use_true_random=False))
+@settings(max_examples=200)
+def test_relabelled_class_gets_the_class_key(p, rng):
+    pos = list(range(p.n))
+    rng.shuffle(pos)
+    key, _ = _canonical(p.up)
+    moved_key, moved_pos = _canonical(_relabelled(p.up, pos))
+    assert moved_key == key
+    assert _relabelled(_relabelled(p.up, pos), moved_pos) == key
+
+
+def test_seven_element_representatives_are_pinned():
+    # canonical keys keep the first labelling of each class in
+    # _natural_posets order, as the pairwise isomorphism search did
+    classes = enumerate_posets(7, max_n=7)
+    assert len(classes) == 2045  # OEIS A000112
+    blob = json.dumps([poset_to_json(p) for p in classes]).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "0a0f657128b8ac4cd454b5a8b1b3811e4471e3e5674b12bcecdad8bf0a770708"
+    )
 
 
 def test_six_element_representatives_are_pinned(catalog6):
