@@ -344,25 +344,6 @@ def _stone(report: RepresentationReport):
 # --- subspaces inducing orthocomplementations -----------------------------------
 
 
-def _cuts_generated(rows, sub: int) -> bool:
-    """Is each sub & ~r (r in rows) an intersection of the sets t & sub?
-
-    The families generated by {u & sub} and {sub & ~u} over the up-images
-    u coincide iff each generator of one is an intersection of generators
-    of the other, so the sweep asks this of the up-images and of the
-    lo-images.
-    """
-    for r in rows:
-        cut = sub & ~r
-        c = sub
-        for t in rows:
-            if cut & ~t == 0:
-                c &= t
-        if c != cut:
-            return False
-    return True
-
-
 def selfdual_subspaces(
     poset: Poset, cap: int = SWEEP_CAP, dual_cap: int = DUAL_POINT_CAP
 ) -> list:
@@ -418,6 +399,8 @@ def _selfdual_sweep(star: Subspace, cap: int) -> list:
     # of the ints
     index = list(range(1 << k))
     lows_for: dict = {}
+    keep_ups = _cut_filter(ups, m, k)
+    keep_los = _cut_filter(los, m, k)
     for high, high_hit in enumerate(_hit_table(columns[k:])):
         need = every & ~high_hit
         lows = lows_for.get(need)
@@ -426,23 +409,69 @@ def _selfdual_sweep(star: Subspace, cap: int) -> list:
                 b for b, hit in zip(index, low_hits) if hit & need == need
             ]
         base = high << k
-        for low in lows:
-            sub = base | low
-            if not (_cuts_generated(ups, sub) and _cuts_generated(los, sub)):
-                continue
-            space = star.restrict(sub)
+        for low in keep_los(high, keep_ups(high, lows)):
+            space = star.restrict(base | low)
             if is_separating(space)[0]:
                 found.append(space)
     return found
 
 
+def _cut_filter(rows, m: int, k: int):
+    """The closures' coincidence test on one side, as a filter.
+
+    The families generated by {t & sub} and {sub & ~t} over the up-images
+    t coincide iff each generator of one is an intersection of generators
+    of the other, so the sweep asks of the up-images and of the lo-images
+    whether each cut sub & ~r (r in rows) is the intersection of the sets
+    t & sub that contain it. That intersection contains the cut, so the
+    two are equal iff sub misses r & AND{t : t contains the cut}.
+
+    A row t misses the cut iff sub hits ~r & ~t, so the rows missing it
+    are the OR of one entry for sub's low k points (a table per row,
+    grown by doubling) and one for the rest (an OR over its bits). The
+    AND over the other rows is one lookup in ``and_tables`` over
+    t & r, each block reversed so that it is indexed by the rows left out.
+
+    Returns keep(high, lows): the low halves, in their order, whose
+    subsets high << k | low pass the test on every row, filtered one row
+    at a time. A row's tables are built when a subset first reaches it.
+    """
+    misses = [
+        sum(1 << j for j, t in enumerate(rows) if not t >> i & 1) for i in range(m)
+    ]
+    tables = [None] * len(rows)
+
+    def build(i: int):
+        r = rows[i]
+        columns = [0 if r >> p & 1 else col for p, col in enumerate(misses)]
+        ands = [t[::-1] for t in and_tables([t & r for t in rows], r)]
+        tables[i] = _hit_table(columns[:k]), columns[k:], ands
+        return tables[i]
+
+    def keep(high: int, lows: list) -> list:
+        base = high << k
+        high_bits = list(bits(high))
+        for i in range(len(rows)):
+            if not lows:
+                break
+            low_missed, high_columns, ands = tables[i] or build(i)
+            missed = 0
+            for j in high_bits:
+                missed |= high_columns[j]
+            if len(ands) == 1:
+                (a,) = ands
+                lows = [b for b in lows if not (base | b) & a[low_missed[b] | missed]]
+            else:
+                folds = and_folds(ands, [low_missed[b] | missed for b in lows])
+                lows = [b for b, a in zip(lows, folds) if not (base | b) & a]
+        return lows
+
+    return keep
+
+
 def maximal_subspaces(spaces) -> list:
-    out = []
-    for a in spaces:
-        pa = set(a.points)
-        if not any(set(b.points) > pa for b in spaces):
-            out.append(a)
-    return out
+    sets = [set(a.points) for a in spaces]
+    return [a for a, pa in zip(spaces, sets) if not any(pb > pa for pb in sets)]
 
 
 def induced_orthocomplementation(subspace: Subspace) -> OrthoMap:

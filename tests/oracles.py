@@ -204,6 +204,25 @@ def brute_closure_apply(m, base_sets, x):
     return frozenset(reduce(lambda a, b: a & b, candidates))
 
 
+def cuts_generated(rows, sub):
+    """Is each cut sub & ~r (r in rows) an intersection of the sets t & sub?
+
+    The families generated by {u & sub} and {sub & ~u} over the up-images
+    u coincide iff each generator of one is an intersection of generators
+    of the other; asked of the up-images and of the lo-images, this is
+    the selfdual sweep's coincidence test, one subset at a time.
+    """
+    for r in rows:
+        cut = sub & ~r
+        c = sub
+        for t in rows:
+            if cut & ~t == 0:
+                c &= t
+        if c != cut:
+            return False
+    return True
+
+
 # --- counting oracles -----------------------------------------------------------------
 
 

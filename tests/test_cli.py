@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +110,21 @@ def test_check_all_passes(capsys):
     assert code == 0
     data = json.loads(out)
     assert all(c["pass"] for c in data["checks"])
+
+
+def test_module_form_runs_the_cli(capsys):
+    # python -m biclosure from a plain checkout, without an install
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "biclosure", "check", B4],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    code, out, _ = run(capsys, "check", B4)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out
 
 
 def test_check_reports_failure_with_exit_one(capsys, monkeypatch):

@@ -43,7 +43,7 @@ from biclosure.bitops import bits
 from biclosure.dualspace import Hull, _fullness_witnesses
 from biclosure.represent import (
     _correspondence,
-    _cuts_generated,
+    _cut_filter,
     _lattice_ideals,
     _worker_count,
 )
@@ -331,8 +331,8 @@ def test_m4_sweep_matches_a_per_subset_fullness_test(m4):
         sub
         for sub in range(1 << star.size)
         if all(sub & h for h in held)
-        and _cuts_generated(ups, sub)
-        and _cuts_generated(los, sub)
+        and oracles.cuts_generated(ups, sub)
+        and oracles.cuts_generated(los, sub)
         and is_separating(star.restrict(sub))[0]
     ]
     found = selfdual_subspaces(m4, cap=18)
@@ -340,16 +340,24 @@ def test_m4_sweep_matches_a_per_subset_fullness_test(m4):
     assert len(found) == 3 and max(plain) >= 1 << 9
 
 
+def cut_filters(star):
+    """The sweep's table filter on each side, with its low-half width."""
+    n, m = star.poset.n, star.size
+    k = min(m, represent_module._LOW_BITS)
+    ups = [star.up_image(q) for q in range(n)]
+    los = [star.lo_image(q) for q in range(n)]
+    return k, [(rows, _cut_filter(rows, m, k)) for rows in (ups, los)]
+
+
 def test_sweep_coincidence_test_matches_the_closures(catalog4, catalog5, m4):
-    # the sweep's fast coincidence test against c1 == c2 on the restricted
+    # the sweep's table filter against c1 == c2 on the restricted
     # subspace, on every subset of a dual with at most 8 points and 200
     # random subsets of each larger one, full or not
     rng = random.Random(0xC0117)
     checked = full = 0
     for p in catalog4 + catalog5 + [m4]:
         star = dual_space(p)
-        ups = [star.up_image(q) for q in range(p.n)]
-        los = [star.lo_image(q) for q in range(p.n)]
+        k, sides = cut_filters(star)
         if star.size <= 8:
             subs = range(1 << star.size)
         else:
@@ -357,11 +365,72 @@ def test_sweep_coincidence_test_matches_the_closures(catalog4, catalog5, m4):
         for sub in subs:
             space = star.restrict(sub)
             c1, c2 = induced_closures(space)
-            fast = _cuts_generated(ups, sub) and _cuts_generated(los, sub)
+            high, low = sub >> k, sub & ((1 << k) - 1)
+            fast = all(keep(high, [low]) for _, keep in sides)
             assert fast == (c1 == c2), (p, sub)
             checked += 1
             full += is_full(space)[0]
     assert 0 < full < checked
+
+
+def assert_cut_filter_matches_reference(star):
+    """Every subset of star, one high half at a time, through each side's
+    table filter and through the per-subset reference."""
+    k, sides = cut_filters(star)
+    lows = list(range(1 << k))
+    passed = 0
+    for rows, keep in sides:
+        for high in range(1 << (star.size - k)):
+            expected = [b for b in lows if oracles.cuts_generated(rows, high << k | b)]
+            assert keep(high, lows) == expected, (star.poset, rows, high)
+            passed += len(expected)
+    return passed
+
+
+def test_cut_filter_matches_the_reference_on_every_m4_subset(m4):
+    # 2^18 subsets in 512 high halves of 9 low points, up- and lo-rows
+    assert assert_cut_filter_matches_reference(dual_space(m4)) > 0
+
+
+def test_cut_filter_matches_the_reference_on_the_small_catalog(catalog4, catalog5):
+    stars = [dual_space(p) for p in catalog4 + catalog5]
+    stars = [s for s in stars if s.size <= 12]
+    assert max(s.size for s in stars) == 12
+    for star in stars:
+        assert_cut_filter_matches_reference(star)
+
+
+@pytest.mark.parametrize("n", [9, 10, 11])
+def test_cut_filter_matches_the_reference_beyond_one_and_table_block(n):
+    # more than 8 rows: the AND over the rows containing a cut is read
+    # from two and_tables blocks
+    assert assert_cut_filter_matches_reference(dual_space(chain(n))) > 0
+
+
+@pytest.mark.parametrize("low_bits", [0, 1, 2, 3])
+def test_cut_filter_with_a_narrow_low_table_matches_the_reference(
+    monkeypatch, low_bits, catalog4, m3
+):
+    # with a low table of a few points, the high-half masks decide most
+    # of the test
+    monkeypatch.setattr(represent_module, "_LOW_BITS", low_bits)
+    for p in catalog4 + [m3, two_chains_up, chain(10)]:
+        star = dual_space(p)
+        if star.size <= 12:
+            assert_cut_filter_matches_reference(star)
+
+
+def test_cut_filter_builds_a_row_only_when_a_subset_reaches_it(monkeypatch, four_chain, m4):
+    # no full subset of the four-chain's dual gets past its second up-row,
+    # so 2 of its 8 rows are built; M4's 512 high halves share one build
+    # per row
+    calls = []
+    count_calls(monkeypatch, represent_module, "and_tables", calls)
+    assert selfdual_subspaces(four_chain) == []
+    assert len(calls) == 2
+    calls.clear()
+    assert len(selfdual_subspaces(m4, cap=18)) == 3
+    assert len(calls) == 2 * m4.n
 
 
 def test_sweep_counts(b4, four_chain, singleton):
