@@ -54,13 +54,17 @@ def and_folds(tables: list, xs) -> list:
     """For each x in xs, the AND of the seed and the masks indexed by the
     set bits of x: one list comprehension per block over the whole batch.
 
-    ``tables`` comes from ``and_tables`` (so it has at least one table),
-    and no x may have bits beyond the masks the tables were built from.
+    ``tables`` comes from ``and_tables`` (so it has at least one table).
+    Only the low ``BLOCK * len(tables)`` bits of each x are read; bits
+    above them are ignored. Once every value in the batch is 0 the
+    remaining blocks are skipped, since an AND keeps a zero at zero.
     """
     first, *rest = tables
     out = [first[x & _BLOCK_MASK] for x in xs]
     shift = 0
     for t in rest:
+        if not any(out):
+            break
         shift += BLOCK
         out = [o & t[x >> shift & _BLOCK_MASK] for o, x in zip(out, xs)]
     return out

@@ -34,6 +34,8 @@ class ClosureOperator:
         self.m = m
         self.full = (1 << m) - 1
         self.base = base
+        # held here so apply() skips a lookup through the base per call
+        self._members = base.members
 
     @cached_property
     def closed_family(self) -> SubsetFamily:
@@ -47,8 +49,8 @@ class ClosureOperator:
         if x & ~self.full:
             raise MemberOutOfRange("argument has bits outside the carrier")
         out = self.full
-        for b in self.base.members:
-            if x & ~b == 0:
+        for b in self._members:
+            if x & b == x:
                 out &= b
         return out
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
 
-from .bitops import and_folds, and_tables, bits
+from .bitops import BLOCK, and_folds, and_tables, bits
 from .closure import ClosureOperator, closed_open_family, induced_closures
 from .dualspace import (
     DUAL_POINT_CAP,
@@ -595,24 +595,39 @@ def _lattice_ideals(poset: Poset) -> list:
     )
 
 
+def _packed_cuts(subspace: Subspace):
+    """AND tables over the points packed as one-set beside kernel, and
+    the kernel's shift.
+
+    The kernel sits at the first block boundary at or above n, so one
+    fold over a subset x gives the A-filter it cuts out in the low blocks
+    and the A-ideal from ``shift`` up. A fold through tables over n masks
+    reads only those low blocks, so it takes the filter half in place.
+    """
+    n = subspace.poset.n
+    shift = BLOCK * max(1, -(-n // BLOCK))
+    carrier = subspace.poset.full
+    tables = and_tables(
+        [s | subspace.kernel(i) << shift for i, s in enumerate(subspace.points)],
+        carrier | carrier << shift,
+    )
+    return tables, shift
+
+
 def _closure_formula_agrees(subspace: Subspace, c1, c2, xs):
     """Compare apply() against the filter/ideal intersection formulas.
 
     The right-hand sides come from the points' one-sets alone: blocked
     AND tables give the A-filter and the A-ideal cut out by x, then the
     intersection of the up-images (lo-images) over them. No table looks
-    at apply() or at which images contain x. Each point is packed as its
-    one-set beside its kernel shifted by n, so one fold gives the filter
-    in the low n bits and the ideal above them. The tables are folded
-    over a batch of the sequence xs at a time; apply() is still called
-    once per x and closure. The witness is the first failing x in xs.
+    at apply() or at which images contain x. One packed fold gives the
+    filter and the ideal together (see ``_packed_cuts``). The tables are
+    folded over a batch of the sequence xs at a time; apply() is still
+    called once per x and closure. The witness is the first failing x in
+    xs.
     """
     n = subspace.poset.n
-    carrier = subspace.poset.full
-    cuts = and_tables(
-        [s | subspace.kernel(i) << n for i, s in enumerate(subspace.points)],
-        carrier | carrier << n,
-    )
+    cuts, shift = _packed_cuts(subspace)
     ups = and_tables([subspace.up_image(p) for p in range(n)], subspace.all_mask)
     los = and_tables([subspace.lo_image(p) for p in range(n)], subspace.all_mask)
     for start in range(0, len(xs), _BATCH):
@@ -620,8 +635,8 @@ def _closure_formula_agrees(subspace: Subspace, c1, c2, xs):
         got1 = list(map(c1.apply, batch))
         got2 = list(map(c2.apply, batch))
         both = and_folds(cuts, batch)
-        want1 = and_folds(ups, [cut & carrier for cut in both])
-        want2 = and_folds(los, [cut >> n for cut in both])
+        want1 = and_folds(ups, both)
+        want2 = and_folds(los, [cut >> shift for cut in both])
         if got1 != want1 or got2 != want2:
             rows = zip(batch, got1, want1, got2, want2)
             return False, next(
@@ -642,7 +657,7 @@ def _subset_sample(m: int):
     if m <= _EXHAUSTIVE_LIMIT:
         return range(1 << m)
     rng = random.Random(0xB1C105)
-    return [rng.getrandbits(m) for _ in range(_SAMPLES)]
+    return list(map(rng.getrandbits, [m] * _SAMPLES))
 
 
 SUITES = ("all", "general", "ortho", "distributive", "boolean")

@@ -180,12 +180,29 @@ def test_chain_closures_differ_but_family_survives():
     assert len(closed_open_family(c1, c2)) == 3
 
 
-@pytest.mark.parametrize("m", [4, 21])
-def test_closed_family_is_built_on_first_use(m):
-    base = [0b0110, 0b1100, 0b0011, ((1 << m) - 1) ^ 0b1]
+_WIDE = (1 << 70) - 1
+
+
+@pytest.mark.parametrize(
+    "m, base",
+    [
+        (4, [0b0110, 0b1100, 0b0011, 0b1110]),
+        (21, [0b0110, 0b1100, 0b0011, (1 << 21) - 2]),
+        (5, [0b11111, 0b00110, 0b10100]),  # a member equal to the carrier
+        (5, []),  # every closure is the carrier
+        (70, [_WIDE, _WIDE ^ 1 << 65, 0b111 | 1 << 69, 1 << 66 | 0b1110]),
+        (130, [(1 << 130) - 1 ^ 1 << 3, 1 << 129 | 1 << 64 | 0b1, 1 << 64 | 0b11]),
+    ],
+    ids=["4", "21", "full-member", "empty-base", "m70", "m130"],
+)
+def test_closed_family_is_built_on_first_use(m, base):
+    # apply() is a pass over the base: it builds no closed family, and
+    # its result is the brute family's least member over x
     c = ClosureOperator(m, base)
     sets = [set(bits(b)) for b in base]
-    for x in (0, 0b0010, 0b0101, 1 << (m - 1)):
+    xs = {0, 0b0010, 0b0101, 1 << (m - 1), (1 << m) - 1, *base}
+    xs |= {b & ~(b & -b) for b in base} | {a | b for a in base for b in base}
+    for x in sorted(xs):
         want = oracles.brute_closure_apply(m, sets, set(bits(x)))
         assert set(bits(c.apply(x))) == want
     assert "closed_family" not in c.__dict__

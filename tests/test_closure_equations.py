@@ -1,6 +1,7 @@
 """The closure-equation check: blocked AND tables folded over batches of
 subsets, and its failure path."""
 
+import random
 from functools import reduce
 
 import pytest
@@ -19,8 +20,13 @@ from biclosure import (
     ideal_of,
     induced_closures,
 )
-from biclosure.bitops import and_folds, and_tables, bits
-from biclosure.represent import _BATCH, _closure_formula_agrees, _subset_sample
+from biclosure.bitops import BLOCK, and_folds, and_tables, bits
+from biclosure.represent import (
+    _BATCH,
+    _closure_formula_agrees,
+    _packed_cuts,
+    _subset_sample,
+)
 
 small_duals = (
     [p for n in range(1, 5) for p in enumerate_posets(n)]
@@ -61,16 +67,70 @@ def test_blocked_fold_matches_naive_fold(case):
     assert and_folds(tables, span) == [naive_fold(masks, seed, x) for x in span]
 
 
+# --- the early stop once a batch folds to zero ---------------------------------------
+
+
+class _Unread:
+    """A table that fails the test if and_folds reads it."""
+
+    def __getitem__(self, index):
+        raise AssertionError("a block was read after the batch folded to zero")
+
+
+# masks[0] clears everything; the later blocks' masks are all nonzero
+_STOP_MASKS = [0] + [0b1111] * 7 + [0b1011, 0b0111] * 8
+_STOP_SEED = 0b1111
+
+
+@pytest.mark.parametrize(
+    "xs, zero_after_first",
+    [
+        ([1, 1 | 1 << 9, 1 | 1 << 17 | 1 << 20, 0b11], True),
+        ([1, 1 | 1 << 9, 1 << 9 | 1 << 17], False),  # one nonzero straggler
+        ([0, 0], False),  # nothing folded yet: every value is the seed
+        ([], True),
+    ],
+    ids=["all-zero", "straggler", "no-bits", "empty"],
+)
+def test_and_folds_stops_once_the_batch_is_zero(xs, zero_after_first):
+    tables = and_tables(_STOP_MASKS, _STOP_SEED)
+    assert len(tables) == 3 and all(any(t) for t in tables[1:])
+    want = [naive_fold(_STOP_MASKS, _STOP_SEED, x) for x in xs]
+    assert and_folds(tables, xs) == want
+    if zero_after_first:
+        # the later blocks are never read
+        assert want == [0] * len(xs)
+        assert and_folds([tables[0], _Unread(), _Unread()], xs) == want
+    else:
+        assert any(want)
+
+
+# --- the packed one-set/kernel table --------------------------------------------------
+
+
+def _assert_packed_cuts(space, xs):
+    """One fold of the packed table gives filter_of(x) below the shift and
+    ideal_of(x) above it, and the up-image tables read the filter half in
+    place."""
+    n = space.poset.n
+    tables, shift = _packed_cuts(space)
+    assert shift % BLOCK == 0 and n <= shift < n + BLOCK
+    both = and_folds(tables, xs)
+    low = (1 << shift) - 1
+    assert [cut & low for cut in both] == [filter_of(space, x) for x in xs]
+    assert [cut >> shift for cut in both] == [ideal_of(space, x) for x in xs]
+    assert and_folds(tables, xs[:1]) == both[:1]
+    ups = and_tables([space.up_image(p) for p in range(n)], space.all_mask)
+    assert and_folds(ups, both) == and_folds(ups, [cut & low for cut in both])
+
+
 @given(st.sampled_from(small_duals), st.data())
 @settings(max_examples=150, deadline=None)
 def test_blocked_fold_matches_filter_of_and_ideal_of(poset, data):
-    # the packed AND table intersects one-sets (low n bits) and kernels
-    # (shifted by n) point by point, as the closure-equation check builds
-    # it: an independent check of the cut over up- and lo-images
+    # an independent check of the cut over up- and lo-images, on the
+    # table the closure-equation check folds
     star = dual_space(poset)
     space = star.restrict(data.draw(st.integers(1, star.all_mask)))
-    n, carrier = poset.n, poset.full
-    packed = [s | space.kernel(i) << n for i, s in enumerate(space.points)]
     xs = data.draw(
         st.lists(
             st.integers(0, space.all_mask) | st.sampled_from((0, space.all_mask)),
@@ -78,11 +138,30 @@ def test_blocked_fold_matches_filter_of_and_ideal_of(poset, data):
             max_size=30,
         )
     )
-    tables = and_tables(packed, carrier | carrier << n)
-    both = and_folds(tables, xs)
-    assert [cut & carrier for cut in both] == [filter_of(space, x) for x in xs]
-    assert [cut >> n for cut in both] == [ideal_of(space, x) for x in xs]
-    assert and_folds(tables, xs[:1]) == both[:1]
+    _assert_packed_cuts(space, xs)
+
+
+@pytest.mark.parametrize(
+    "poset, shift",
+    [(chain(7), 8), (chain(8), 8), (chain(11), 16), (boolean_algebra(4), 16)],
+    ids=["n7", "n8", "n11", "n16"],
+)
+def test_packed_cuts_shift_to_the_block_boundary(poset, shift):
+    star = dual_space(poset)
+    assert _packed_cuts(star)[1] == shift
+    rng = random.Random(poset.n)
+    for space in (star, star.restrict(rng.getrandbits(star.size) | 1)):
+        xs = [0, space.all_mask] + [rng.getrandbits(space.size) for _ in range(60)]
+        _assert_packed_cuts(space, xs)
+
+
+# --- the subsets the check draws ------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [13, 40, 64, 512])
+def test_subset_sample_is_the_seeded_draw(m):
+    rng = random.Random(0xB1C105)
+    assert _subset_sample(m) == [rng.getrandbits(m) for _ in range(2048)]
 
 
 def test_check_calls_apply_twice_per_subset(monkeypatch):
