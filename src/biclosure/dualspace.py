@@ -80,6 +80,8 @@ class Subspace:
         return self.points[i]
 
     def restrict(self, index_mask: int) -> "Subspace":
+        if index_mask & ~self.all_mask:
+            raise MemberOutOfRange("point indices outside the subspace")
         return Subspace(self.poset, (self.points[i] for i in bits(index_mask)))
 
     def __iter__(self):
@@ -195,6 +197,8 @@ class Hull(NamedTuple):
 
 def _generated(subspace: Subspace, image, subset: int) -> Hull:
     """The cut of the points whose image holds all of ``subset``."""
+    if subset & ~subspace.poset.full:
+        raise MemberOutOfRange("subset has elements outside the carrier")
     x = subspace.all_mask
     for p in bits(subset):
         x &= image(p)

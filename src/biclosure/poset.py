@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations, product
 
 from .bitops import bits, mask_of
 from .errors import (
@@ -176,12 +175,6 @@ class Poset:
         """A complemented distributive lattice."""
         return self.is_bounded() and self.is_distributive() and all(self._complements)
 
-    @cached_property
-    def _profiles(self):
-        """Per element, its (down, up) cone sizes and those of the elements
-        strictly below and above it; sorted, an isomorphism invariant."""
-        return next(_refinements(self.up, self.down))
-
     # --- misc -------------------------------------------------------------
 
     def opposite(self) -> "Poset":
@@ -209,32 +202,6 @@ def _transpose(up) -> tuple:
         for j in bits(row):
             out[j] |= 1 << i
     return tuple(out)
-
-
-def _refinements(up, down):
-    """Successive colourings of the elements of the order with rows ``up``
-    and ``down``, each an isomorphism invariant.
-
-    The first is the profiles: each element's (down, up) cone sizes with
-    the sorted sizes of the elements strictly below and strictly above
-    it. Each later one replaces the colours by their ranks and refines
-    them the same way.
-    """
-    below = [list(bits(row & ~(1 << i))) for i, row in enumerate(down)]
-    above = [list(bits(row & ~(1 << i))) for i, row in enumerate(up)]
-    colour = [(d.bit_count(), u.bit_count()) for u, d in zip(up, down)]
-    while True:
-        colour = tuple(
-            (
-                c,
-                tuple(sorted([colour[j] for j in b])),
-                tuple(sorted([colour[j] for j in a])),
-            )
-            for c, b, a in zip(colour, below, above)
-        )
-        yield colour
-        rank = {c: r for r, c in enumerate(sorted(set(colour)))}
-        colour = [rank[c] for c in colour]
 
 
 def build_poset(labels, pairs) -> Poset:
@@ -443,41 +410,17 @@ def _ortho_search(poset: Poset):
 
 
 def are_isomorphic(p: Poset, q: Poset):
-    """Order isomorphism test; returns (answer, witness index map or None)."""
-    pp, qq = p._profiles, q._profiles
-    if sorted(pp) != sorted(qq):  # also when the sizes differ
+    """Order isomorphism test; returns (answer, witness index map or None).
+
+    Isomorphic orders have equal canonical keys, and the witness sends
+    each element of p to the element of q with the same canonical place.
+    """
+    key, pos = _canonical(p.up)
+    q_key, q_pos = _canonical(q.up)
+    if key != q_key:  # also when the sizes differ
         return False, None
-    n = p.n
-    cand = [[j for j in range(n) if qq[j] == pp[i]] for i in range(n)]
-    order = sorted(range(n), key=lambda i: len(cand[i]))
-    mapping = [-1] * n
-    used = [False] * n
-
-    def extend(k):
-        if k == n:
-            return True
-        i = order[k]
-        for j in cand[i]:
-            if used[j]:
-                continue
-            ok = True
-            for i2 in order[:k]:
-                j2 = mapping[i2]
-                if p.leq(i, i2) != q.leq(j, j2) or p.leq(i2, i) != q.leq(j2, j):
-                    ok = False
-                    break
-            if ok:
-                mapping[i] = j
-                used[j] = True
-                if extend(k + 1):
-                    return True
-                used[j] = False
-                mapping[i] = -1
-        return False
-
-    if extend(0):
-        return True, tuple(mapping)
-    return False, None
+    at = {k: j for j, k in enumerate(q_pos)}
+    return True, tuple([at[k] for k in pos])
 
 
 # --- catalogs ------------------------------------------------------------------
@@ -547,38 +490,94 @@ def _grown(up, d: int) -> tuple:
     return tuple(rows) + (top,)
 
 
+def _stable_colours(colour, below, above) -> list:
+    """Refine ``colour`` until its partition into colour cells is stable.
+
+    Colours are places (the number of elements of smaller colour), so a
+    colouring with n cells is a labelling. Each round recolours each
+    element of a cell of two or more by its colour and the sorted colours
+    strictly below and strictly above it, ranked. Isomorphisms commute
+    with every round.
+    """
+    cells = len(set(colour))
+    while cells < len(colour):
+        size = [0] * len(colour)
+        for c in colour:
+            size[c] += 1
+        sig = [
+            (c, tuple(sorted([colour[j] for j in b])), tuple(sorted([colour[j] for j in a])))
+            if size[c] > 1
+            else (c,)
+            for c, b, a in zip(colour, below, above)
+        ]
+        place = {s: k for k, s in reversed(list(enumerate(sorted(sig))))}
+        if len(place) == cells:
+            break
+        cells = len(place)
+        colour = [place[s] for s in sig]
+    return colour
+
+
 def _canonical(up):
     """Canonical form of the order with up-rows ``up``: (key, pos).
 
-    Colours start as the profiles and are refined until the partition into
-    colour cells is stable. The key is the least tuple of relabelled
-    up-rows over the orders that list the cells by colour, and pos[i] is
-    element i's place in one such order. Colours are an isomorphism
-    invariant, so two orders get equal keys exactly when they are
-    isomorphic, and the key is itself the up-rows of a labelling.
+    Individualization and refinement (McKay, "Practical graph isomorphism",
+    1981; McKay and Piperno, 2014): refine one colour until stable, then
+    give each element of the first cell of two or more in turn a colour
+    of its own, and recurse. A leaf's colours are places; its key is the
+    up-rows relabelled by them. The key is the least leaf key and pos the
+    places of a leaf that has it, so two orders get equal keys exactly
+    when they are isomorphic, and the key is the up-rows of a labelling.
+
+    Two leaves with equal keys give an automorphism, which maps the
+    explored branch where their paths part onto the current one, so the
+    current one is left. A child that an automorphism fixing the path
+    maps onto an explored sibling is skipped: it has the same leaf keys.
     """
     n = len(up)
-    rounds = _refinements(up, _transpose(up))
-    colour = next(rounds)
-    while len(set(colour)) < n:
-        refined = next(rounds)
-        if len(set(refined)) == len(set(colour)):
-            break
-        colour = refined
-    cells = [
-        [i for i, c in enumerate(colour) if c == cell] for cell in sorted(set(colour))
-    ]
-    ups = [list(bits(row)) for row in up]
-    best = None
-    for parts in product(*map(permutations, cells)):
-        order = [i for part in parts for i in part]
-        pos = [0] * n
-        for k, i in enumerate(order):
-            pos[i] = k
-        key = tuple([sum([1 << pos[j] for j in ups[i]]) for i in order])
-        if best is None or key < best[0]:
-            best = key, tuple(pos)
-    return best
+    ups = [[j for j in range(n) if row >> j & 1] for row in up]
+    above = [[j for j in row if j != i] for i, row in enumerate(ups)]
+    below = [[] for _ in range(n)]
+    for i, row in enumerate(above):
+        for j in row:
+            below[j].append(i)
+    best = []  # key, pos and path of the least leaf so far
+    autos = []
+
+    def search(colour, path):
+        """Explore the node on ``path``; return the depth to go back to
+        when an automorphism maps an explored branch onto this one."""
+        colour = _stable_colours(colour, below, above)
+        if len(set(colour)) == n:
+            w = [1 << c for c in colour]
+            order = sorted(range(n), key=colour.__getitem__)
+            key = tuple([sum([w[j] for j in ups[i]]) for i in order])
+            if not best or key < best[0]:
+                best[:] = key, tuple(colour), path
+            elif key == best[0]:
+                at = {c: i for i, c in enumerate(best[1])}
+                autos.append([at[c] for c in colour])
+                return next(d for d, (u, v) in enumerate(zip(path, best[2])) if u != v)
+            return None
+        ranked = sorted(colour)
+        c = next(c for c, d in zip(ranked, ranked[1:]) if c == d)
+        done = set()  # the orbits of the explored children
+        for v in [i for i, x in enumerate(colour) if x == c]:
+            if v in done:
+                continue
+            child = [c + 1 if x == c else x for x in colour]
+            child[v] = c
+            back = search(child, path + [v])
+            if back is not None and back < len(path):
+                return back
+            done.add(v)
+            gens = [g for g in autos if all(g[x] == x for x in path)]
+            while more := {g[x] for g in gens for x in done} - done:
+                done |= more
+        return None
+
+    search([0] * n, [])
+    return best[0], best[1]
 
 
 def enumerate_posets(n: int, max_n: int = MAX_CATALOG_N) -> list:

@@ -16,6 +16,7 @@ DELETED = (
     "_hull",
     "_intersection_closure",
     "_iso_key",
+    "_refinements",
     "_report",
     "_separating_points",
     "closure_from_base",
@@ -54,6 +55,7 @@ def test_deleted_names_are_gone():
             biclosure.represent,
         ):
             assert not hasattr(mod, name), (mod.__name__, name)
+    assert not hasattr(biclosure.Poset, "_profiles")
     assert "represent" not in biclosure.__all__
     assert callable(biclosure.represent_general)
 

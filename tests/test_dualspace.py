@@ -136,12 +136,24 @@ def test_selection_intersects_kernels(b4):
 
 
 def test_selection_outside_the_subspace_is_rejected(b4):
-    sub = dual_space(b4).restrict(0b1011)
+    star = dual_space(b4)
+    sub = star.restrict(0b1011)
     for idx in (1 << sub.size, sub.all_mask + 1, -1, -(1 << sub.size)):
         with pytest.raises(MemberOutOfRange):
             ideal_of(sub, idx)
         with pytest.raises(MemberOutOfRange):
             filter_of(sub, idx)
+        with pytest.raises(MemberOutOfRange):
+            sub.restrict(idx)
+    for idx in (1 << star.size, -1):
+        with pytest.raises(MemberOutOfRange):
+            star.restrict(idx)
+    # generated hulls take element masks: bits outside the carrier are rejected
+    for subset in (1 << b4.n, b4.full + 1, 0b1 | 1 << b4.n, -1, -(1 << b4.n)):
+        with pytest.raises(MemberOutOfRange):
+            generated_ideal(sub, subset)
+        with pytest.raises(MemberOutOfRange):
+            generated_filter(sub, subset)
 
 
 def test_generated_ideal_is_smallest_container(m3):

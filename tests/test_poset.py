@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -314,6 +315,93 @@ def test_distinct_classes_are_not_isomorphic():
 
 def test_size_mismatch_is_not_isomorphic(b4, m3):
     assert not are_isomorphic(b4, m3)[0]
+
+
+def _crowns(*sizes):
+    """Disjoint crowns, one per size k, each with minimal elements a0..a{k-1}
+    and maximal b0..b{k-1}, where ai lies below bi and b{i+1 mod k}."""
+    labels, pairs = [], []
+    for c, k in enumerate(sizes):
+        labels += [f"a{c}.{i}" for i in range(k)] + [f"b{c}.{i}" for i in range(k)]
+        pairs += [(f"a{c}.{i}", f"b{c}.{j % k}") for i in range(k) for j in (i, i + 1)]
+    return build_poset(labels, pairs)
+
+
+def _bundle(k):
+    """M_k: k pairwise incomparable atoms between a bottom and a top."""
+    atoms = [f"a{i}" for i in range(k)]
+    return build_poset(["0", *atoms, "1"], [("0", a) for a in atoms] + [(a, "1") for a in atoms])
+
+
+def _shuffled(p, seed):
+    """A copy of p with its elements moved to seeded random places."""
+    pos = list(range(p.n))
+    random.Random(seed).shuffle(pos)
+    return Poset([f"x{k}" for k in range(p.n)], _relabelled(p.up, pos))
+
+
+def _counted_search(monkeypatch, pairs):
+    """are_isomorphic on each pair, with the number of search nodes
+    (refinement calls) its two canonical searches took."""
+    nodes = []
+    stable = poset_module._stable_colours
+
+    def counted(*args):
+        nodes[-1] += 1
+        return stable(*args)
+
+    monkeypatch.setattr(poset_module, "_stable_colours", counted)
+    out = []
+    for p, q in pairs:
+        nodes.append(0)
+        out.append(are_isomorphic(p, q))
+    monkeypatch.undo()
+    return out, nodes
+
+
+def test_crowns_that_refinement_cannot_tell_apart_are_not_isomorphic(monkeypatch):
+    # a 2k-element crown and two k-element crowns: every minimal element
+    # has two upper covers and every maximal one two lower covers, so
+    # refinement stops at two cells and only the search separates them
+    # (the cell-order product and the backtracking used to stall here)
+    pairs = [(_crowns(10), _crowns(5, 5)), (_crowns(16), _crowns(8, 8))]
+    answers, nodes = _counted_search(monkeypatch, pairs + [(q, p) for p, q in pairs])
+    assert answers == [(False, None)] * 4
+    for (p, q), count in zip(pairs, nodes):
+        assert count < 2 * p.n
+        for r in (p, q):
+            key, pos = _canonical(r.up)
+            assert _relabelled(r.up, pos) == key
+
+
+def test_symmetric_posets_get_an_isomorphism_witness(monkeypatch):
+    # antichain(16) and M14 have 16! and 14! automorphisms; the search
+    # prunes by the ones it finds instead of trying every order
+    pairs = [(p, _shuffled(p, seed)) for p in (antichain(16), _bundle(14)) for seed in (1, 2)]
+    answers, nodes = _counted_search(monkeypatch, pairs)
+    for (p, q), (ok, mapping), count in zip(pairs, answers, nodes):
+        assert ok
+        assert sorted(mapping) == list(range(p.n))
+        for i in range(p.n):
+            for j in range(p.n):
+                assert p.leq(i, j) == q.leq(mapping[i], mapping[j])
+        assert count < 2 * p.n * p.n
+        for r in (p, q):
+            key, pos = _canonical(r.up)
+            assert _relabelled(r.up, pos) == key
+
+
+@pytest.mark.parametrize("sizes", [(3, 3, 6), (4, 4, 4, 6), (10, 5, 5)])
+def test_crowns_of_mixed_sizes_keep_their_key_when_shuffled(sizes):
+    # refinement cannot tell the components apart, and only some of them
+    # are swapped by automorphisms, so the least leaf can lie in a branch
+    # explored after the first automorphism is found
+    p = _crowns(*sizes)
+    key, _ = _canonical(p.up)
+    for seed in range(5):
+        q = _shuffled(p, seed)
+        assert _canonical(q.up)[0] == key
+        assert are_isomorphic(p, q)[0]
 
 
 # --- orthocomplementations ---------------------------------------------------------------
