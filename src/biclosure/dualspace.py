@@ -21,7 +21,7 @@ takes no family.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 from .bitops import bits
@@ -128,21 +128,35 @@ def _orthodual(star: Subspace, ortho: OrthoMap) -> Subspace:
 
 
 def lattice_dual(poset: Poset, cap: int = DUAL_POINT_CAP) -> Subspace:
-    """Dual points preserving meets and joins; includes both constants.
-
-    An up-set's point preserves meets exactly when the up-set is closed
-    under meets (a lattice filter or empty) and joins exactly when its
-    complement is closed under joins (a lattice ideal or empty).
-    """
+    """Dual points preserving meets and joins; includes both constants."""
     if not poset.is_lattice():
         raise NotALattice("meet/join dual requires a lattice")
-    keep = [
-        s
-        for s in _upsets(poset.up, cap)
-        if _closed(poset._meet_table, s)
-        and _closed(poset._join_table, poset.full ^ s)
-    ]
-    return Subspace(poset, keep)
+    return _lattice_dual(dual_space(poset, cap))
+
+
+def _lattice_sides(poset: Poset):
+    """The tests, on an up-set s of a lattice, of whether its point
+    preserves meets (s is closed under meets: a lattice filter or empty)
+    and joins (its complement is closed under joins: a lattice ideal or
+    empty)."""
+    meets = partial(_closed, poset._meet_table)
+    return meets, lambda s: _closed(poset._join_table, poset.full ^ s)
+
+
+def _lattice_dual(star: Subspace) -> Subspace:
+    """``lattice_dual`` filtered from the dual space ``star`` of a lattice."""
+    meets, joins = _lattice_sides(star.poset)
+    return Subspace(star.poset, [s for s in star.points if meets(s) and joins(s)])
+
+
+def _lattice_families(star: Subspace):
+    """The lattice ideals and the lattice filters under ``star``, empty
+    set included: the join-closed complements of the points and the
+    meet-closed points."""
+    meets, joins = _lattice_sides(star.poset)
+    n, full = star.poset.n, star.poset.full
+    ideals = SubsetFamily(n, (full ^ s for s in star.points if joins(s)))
+    return ideals, SubsetFamily(n, filter(meets, star.points))
 
 
 # --- ideals and filters relative to a subspace -------------------------------

@@ -588,6 +588,8 @@ def enumerate_posets(n: int, max_n: int = MAX_CATALOG_N) -> list:
     The count grows fast (318 classes at n=6, 2045 at n=7), hence the
     guard; pass a larger ``max_n`` deliberately to go past it.
     """
+    if n < 0:
+        raise ValueError(f"poset catalog for n={n}: a size cannot be negative")
     if n > max_n:
         raise BoundExceeded(
             f"poset catalog for n={n} exceeds the configured bound {max_n}"

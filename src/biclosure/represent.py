@@ -30,6 +30,8 @@ from .dualspace import (
     DUAL_POINT_CAP,
     Subspace,
     _fullness_witnesses,
+    _lattice_dual,
+    _lattice_families,
     _orthodual,
     _separates,
     dual_space,
@@ -55,8 +57,6 @@ from .poset import (
     OrthoMap,
     Poset,
     SubsetFamily,
-    _closed,
-    _upsets,
     enumerate_posets,
     find_orthocomplementations,
     poset_to_json,
@@ -275,16 +275,6 @@ def _distributive_laws(report: RepresentationReport) -> dict:
     }
 
 
-def _point_space_laws(report: RepresentationReport) -> dict:
-    """Laws of the constant-free morphism dual of a Boolean lattice."""
-    return {
-        "closures_coincide": report.closures_coincide,
-        "exact": all(report.exact),
-        "topological": all(report.topological),
-        "isomorphism": report.isomorphism,
-    }
-
-
 def represent_orthoposet(
     poset: Poset, ortho: OrthoMap, dual_cap: int = DUAL_POINT_CAP
 ):
@@ -331,14 +321,20 @@ def stone(poset: Poset, dual_cap: int = DUAL_POINT_CAP) -> StoneSpace:
 
 def _stone(report: RepresentationReport):
     """The point space read from the report on the constant-free morphism
-    dual, and its laws; the clopen algebra is the closed-open family,
-    which is the first closure's clopen family once the closures coincide."""
+    dual, and the laws of that dual of a Boolean lattice; the clopen
+    algebra is the closed-open family, which is the first closure's
+    clopen family once the closures coincide."""
     points = report.subspace
     kernels = tuple(points.kernel(i) for i in range(points.size))
     space = StoneSpace(
         points, induced_closures(points)[0], report.family, kernels
     )
-    return space, _point_space_laws(report)
+    return space, {
+        "closures_coincide": report.closures_coincide,
+        "exact": all(report.exact),
+        "topological": all(report.topological),
+        "isomorphism": report.isomorphism,
+    }
 
 
 # --- subspaces inducing orthocomplementations -----------------------------------
@@ -352,9 +348,9 @@ def selfdual_subspaces(
 
     The sweep is exhaustive over all subsets of the dual space, so it is
     guarded by ``cap`` on the dual point count. The empty subspace can
-    qualify only over a one-element poset (fullness is vacuous exactly
-    there); it is kept in that degenerate case because it is the
-    orthodual of the identity complementation.
+    qualify only over a poset of at most one element, where fullness is
+    vacuous: over one element it is the orthodual of the identity
+    complementation, and over none both subspaces qualify.
     """
     return _selfdual_sweep(dual_space(poset, dual_cap), cap)
 
@@ -585,16 +581,6 @@ def _subset_labels(poset: Poset, mask: int) -> list:
     return sorted(poset.labels[i] for i in bits(mask))
 
 
-def _lattice_ideals(poset: Poset) -> list:
-    """Down-sets closed under binary joins, empty set included, in mask
-    order. The lattice filters are the lattice ideals of the opposite."""
-    return sorted(
-        d
-        for d in _upsets(poset.down, DUAL_POINT_CAP)
-        if _closed(poset._join_table, d)
-    )
-
-
 def _packed_cuts(subspace: Subspace):
     """AND tables over the points packed as one-set beside kernel, and
     the kernel's shift.
@@ -663,6 +649,11 @@ def _subset_sample(m: int):
 SUITES = ("all", "general", "ortho", "distributive", "boolean")
 
 
+def _check_suite(suite: str) -> None:
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}, choose from {SUITES}")
+
+
 def check_poset(
     poset: Poset,
     suite: str = "all",
@@ -675,13 +666,16 @@ def check_poset(
     (bounded, lattice, distributive, Boolean) are detected, not assumed,
     so the suite runs on any poset and simply skips what does not apply.
     """
-    if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}, choose from {SUITES}")
+    _check_suite(suite)
     checks = []
     bounded = poset.is_bounded()
-    # the general checks and the ortho correspondence read the dual space
-    wants_star = suite in ("all", "general") or (suite == "ortho" and bounded)
-    star = dual_space(poset, dual_cap) if wants_star else None
+    is_dist = poset.is_distributive()
+    want_dist = suite in ("all", "distributive") and poset.is_lattice()
+    want_bool = suite in ("all", "boolean") and is_dist
+    # the general, bounded ortho and lattice checks read the one dual space,
+    # and the morphism dual and the lattice families are filtered from it
+    wants_star = suite in ("all", "general") or suite == "ortho" and bounded
+    star = dual_space(poset, dual_cap) if wants_star or want_dist or want_bool else None
 
     if suite in ("all", "general"):
         rep = representation_report(poset, star)
@@ -791,15 +785,11 @@ def check_poset(
                 )
             )
 
-    is_lat = poset.is_lattice()
-    is_dist = is_lat and poset.is_distributive()
-    want_dist = suite in ("all", "distributive") and is_lat
-    want_bool = suite in ("all", "boolean") and is_dist
-    morph = lattice_dual(poset, dual_cap) if want_dist or want_bool else None
+    morph = _lattice_dual(star) if want_dist or want_bool else None
     is_bool = want_bool and poset.is_boolean()
-    # one family of lattice ideals serves the distributive and Stone checks
-    need_ideals = want_dist and is_dist or is_bool
-    ideals = _lattice_ideals(poset) if need_ideals and poset.n <= 16 else None
+    # one pair of families serves the distributive and Stone checks
+    need_families = (want_dist and is_dist or is_bool) and poset.n <= 16
+    ideals, filters = _lattice_families(star) if need_families else (None, None)
 
     if want_dist:
         repd = representation_report(poset, morph)
@@ -814,11 +804,7 @@ def check_poset(
             )
         )
         if is_dist and poset.n <= 16:
-            lf = tuple(_lattice_ideals(poset.opposite()))
-            ok = (
-                ideals_wrt(morph).members == tuple(ideals)
-                and filters_wrt(morph).members == lf
-            )
+            ok = ideals_wrt(morph) == ideals and filters_wrt(morph) == filters
             checks.append(
                 CheckResult(
                     "lattice-ideals-coincide",
@@ -855,16 +841,12 @@ def check_poset(
         if is_bool:
             space, laws = _stone(rept)
             atoms = bin(poset.covers[poset.bottom]).count("1")
-            kernels_ok = True
-            if ideals is not None:
-                for ker in space.kernels:
-                    if ker not in ideals or ker == poset.full:
-                        kernels_ok = False
-                    elif any(
-                        m != poset.full and m != ker and ker & ~m == 0
-                        for m in ideals
-                    ):
-                        kernels_ok = False
+            # each kernel is a proper lattice ideal inside no other one
+            proper = () if ideals is None else [d for d in ideals if d != poset.full]
+            kernels_ok = ideals is None or all(
+                ker in proper and not any(ker != d and ker & ~d == 0 for d in proper)
+                for ker in space.kernels
+            )
             laws_ok = all(laws.values())
             point_count_ok = space.subspace.size == atoms
             clopen_ok = len(space.clopen) == poset.n
@@ -904,15 +886,17 @@ def _worker_count() -> int:
 def sweep_catalog(max_n: int, suite: str = "all", sweep_cap: int = SWEEP_CAP) -> list:
     """Run the check suite over every isomorphism class up to ``max_n``.
 
-    ``max_n`` above MAX_CATALOG_N raises BoundExceeded before anything is
-    enumerated. Workers: BICLOSURE_THREADS, at most one per CPU and per
-    poset; results are in deterministic catalog order either way.
+    ``max_n`` above MAX_CATALOG_N raises BoundExceeded, and an unknown
+    ``suite`` ValueError, before anything is enumerated. Workers:
+    BICLOSURE_THREADS, at most one per CPU and per poset; results are in
+    deterministic catalog order either way.
     """
     if max_n > MAX_CATALOG_N:
         raise BoundExceeded(
             f"poset catalog for n={max_n} exceeds the configured bound "
             f"{MAX_CATALOG_N}"
         )
+    _check_suite(suite)
     posets = [p for n in range(1, max_n + 1) for p in enumerate_posets(n)]
     job = partial(check_poset, suite=suite, sweep_cap=sweep_cap)
     count = min(_worker_count(), len(posets), os.cpu_count() or 1)

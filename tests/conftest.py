@@ -70,6 +70,22 @@ def n5():
     )
 
 
+@pytest.fixture
+def upset_calls(monkeypatch):
+    """The rows of each ``_upsets`` call, counted in every biclosure module
+    that binds the name."""
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "biclosure" and hasattr(module, "_upsets"):
+
+            def counted(rows, cap, original=module._upsets):
+                calls.append(rows)
+                return original(rows, cap)
+
+            monkeypatch.setattr(module, "_upsets", counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def catalog4():
     """Every isomorphism class with at most 4 elements."""

@@ -327,3 +327,22 @@ def test_ortho_scans_orthocomplementations_once(capsys, monkeypatch):
     assert data["count"] == 1
     assert data["correspondence"]["matched"] is True
     assert len(calls) == 1
+
+
+def test_each_verb_enumerates_the_up_sets_once(capsys, upset_calls):
+    poset = boolean_algebra(3)
+    text = json.dumps(poset_to_json(poset))
+    for argv in (
+        ["dual"],
+        ["represent", "--kind", "general"],
+        ["represent", "--kind", "distributive"],
+        ["represent", "--kind", "ortho"],
+        ["ortho", "--s-cap", "20"],
+        ["stone"],
+        ["check"],
+        ["export-dot"],
+    ):
+        upset_calls.clear()
+        code, _, err = run(capsys, argv[0], text, *argv[1:])
+        assert code == 0, (argv, err)
+        assert upset_calls == [poset.up], argv

@@ -285,6 +285,11 @@ def test_catalog_bound_is_enforced():
     assert len(enumerate_posets(4, max_n=4)) == 16
 
 
+def test_negative_catalog_size_is_rejected_up_front():
+    with pytest.raises(ValueError, match="n=-1"):
+        enumerate_posets(-1)
+
+
 # --- isomorphism ------------------------------------------------------------------------
 
 

@@ -40,11 +40,13 @@ from biclosure import (
 import biclosure.dualspace as dualspace_module
 import biclosure.represent as represent_module
 from biclosure.bitops import bits
-from biclosure.dualspace import Hull, _fullness_witnesses
+from biclosure.dualspace import Hull, _fullness_witnesses, _lattice_families
+from biclosure.poset import Poset
 from biclosure.represent import (
+    SUITES,
+    SWEEP_CAP,
     _correspondence,
     _cut_filter,
-    _lattice_ideals,
     _worker_count,
 )
 
@@ -445,6 +447,14 @@ def test_singleton_admits_the_empty_subspace(singleton):
     assert found[0].size == 0
 
 
+def test_empty_poset_admits_both_of_its_subspaces():
+    # fullness is vacuous without elements, and the one dual point (the
+    # empty up-set) is no obstacle: the empty and the one-point subspace
+    # both qualify
+    found = selfdual_subspaces(antichain(0))
+    assert [space.points for space in found] == [(), (0,)]
+
+
 def test_sweep_cap_is_enforced(m4):
     with pytest.raises(BoundExceeded):
         selfdual_subspaces(m4)  # 18 dual points, default cap 14
@@ -644,24 +654,43 @@ def test_check_poset_scans_orthocomplementations_once(monkeypatch):
     assert len(calls) == 1
 
 
+def held_stars(monkeypatch):
+    """The dual spaces check_poset builds, in order."""
+    stars = []
+    original = represent_module.dual_space
+
+    def recorded(*args, **kwargs):
+        stars.append(original(*args, **kwargs))
+        return stars[-1]
+
+    monkeypatch.setattr(represent_module, "dual_space", recorded)
+    return stars
+
+
 def test_check_poset_builds_the_morphism_dual_once(monkeypatch):
+    # filtered once from the held dual space, never through lattice_dual
     calls = []
-    count_calls(monkeypatch, represent_module, "lattice_dual", calls)
+    for module in (dualspace_module, represent_module):
+        count_calls(monkeypatch, module, "_lattice_dual", calls)
+    stars = held_stars(monkeypatch)
     report = check_poset(boolean_algebra(3))
     assert report.all_passed
     assert any(c.name == "stone-representation" for c in report.checks)
-    assert len(calls) == 1
+    assert len(stars) == len(calls) == 1
+    assert calls[0][0] is stars[0]
 
 
 def test_check_poset_builds_the_lattice_ideals_once(monkeypatch):
     calls = []
-    count_calls(monkeypatch, represent_module, "_lattice_ideals", calls)
-    poset = boolean_algebra(3)
-    report = check_poset(poset)
+    for module in (dualspace_module, represent_module):
+        count_calls(monkeypatch, module, "_lattice_families", calls)
+    stars = held_stars(monkeypatch)
+    report = check_poset(boolean_algebra(3))
     assert report.all_passed
     names = {c.name for c in report.checks}
     assert {"lattice-ideals-coincide", "stone-representation"} <= names
-    assert sum(args[0] is poset for args in calls) == 1
+    assert len(stars) == len(calls) == 1
+    assert calls[0][0] is stars[0]
 
 
 def test_lattice_ideals_and_filters_match_naive_oracles(catalog4, catalog5, catalog6):
@@ -669,10 +698,31 @@ def test_lattice_ideals_and_filters_match_naive_oracles(catalog4, catalog5, cata
     assert len(lattices) == 25
     # n = 16, the largest size the lattice-ideal checks admit
     for p in lattices + [boolean_algebra(4)]:
-        filters = {frozenset(bits(d)) for d in _lattice_ideals(p.opposite())}
-        assert filters == oracles.brute_lattice_filters(p)
-        ideals = {frozenset(bits(d)) for d in _lattice_ideals(p)}
-        assert ideals == oracles.brute_lattice_ideals(p)
+        ideals, filters = _lattice_families(dual_space(p))
+        assert {frozenset(bits(d)) for d in filters} == oracles.brute_lattice_filters(p)
+        assert {frozenset(bits(d)) for d in ideals} == oracles.brute_lattice_ideals(p)
+
+
+def test_check_poset_enumerates_the_up_sets_once(upset_calls, m3, m4):
+    # the morphism dual and the lattice ideal and filter families are
+    # filtered from the one dual space; the boolean suite on a lattice
+    # that is not distributive is the one that reads no up-set
+    posets = (boolean_algebra(3), boolean_algebra(4), m3, m4, chain(5))
+    for poset in posets:
+        cap = 18 if poset is m4 else SWEEP_CAP
+        for suite in SUITES:
+            upset_calls.clear()
+            assert check_poset(poset, suite=suite, sweep_cap=cap).all_passed
+            reads_none = suite == "boolean" and not poset.is_distributive()
+            assert upset_calls == ([] if reads_none else [poset.up]), (poset, suite)
+
+
+def test_check_poset_builds_one_opposite(monkeypatch):
+    # the join table is the opposite's meet table; nothing else needs one
+    calls = []
+    count_calls(monkeypatch, Poset, "opposite", calls)
+    assert check_poset(boolean_algebra(3)).all_passed
+    assert len(calls) == 1
 
 
 def test_builder_families_are_clopen_families(b4, m4):
@@ -739,6 +789,15 @@ def test_sweep_catalog_rejects_the_bound_before_enumerating(monkeypatch):
     assert calls == []
 
 
+def test_sweep_catalog_rejects_an_unknown_suite_before_enumerating(monkeypatch):
+    calls = []
+    count_calls(monkeypatch, represent_module, "enumerate_posets", calls)
+    for max_n in (3, 0):
+        with pytest.raises(ValueError, match="unknown suite 'bogus'"):
+            sweep_catalog(max_n, suite="bogus")
+    assert calls == []
+
+
 def test_separation_builds_one_closure_pair(monkeypatch, m4):
     calls = []
     for module in (dualspace_module, represent_module):
@@ -793,14 +852,15 @@ def test_check_poset_builds_one_dual_space(monkeypatch, m4):
     assert len(calls) == 1
 
 
-def test_checks_that_read_no_dual_space_build_none(monkeypatch):
+def test_checks_that_read_no_dual_space_build_none(monkeypatch, upset_calls):
     calls = []
     count_calls(monkeypatch, represent_module, "dual_space", calls)
-    for suite in ("distributive", "boolean"):
-        assert check_poset(boolean_algebra(4), suite=suite).all_passed
-    # the ortho suite sweeps the dual space of a bounded poset only
-    assert check_poset(antichain(3), suite="ortho").checks == ()
+    # the ortho suite sweeps the dual space of a bounded poset only, and
+    # the lattice suites read it on lattices only
+    for suite in ("ortho", "distributive", "boolean"):
+        assert check_poset(antichain(3), suite=suite).checks == ()
     assert calls == []
+    assert upset_calls == []
 
 
 def test_each_orthodual_is_built_once(monkeypatch, m4):
