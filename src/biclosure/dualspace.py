@@ -14,9 +14,9 @@ By the Galois connection, the A-filters are filter_of(X) over the
 nonempty c1-closed X, the A-ideals ideal_of(X) over the nonempty
 c2-closed X (c1, c2 the induced closures). The points vanishing on
 ideal_of(X) are X and those holding filter_of(Y) are Y, so a disjoint
-pair is separated by a point of A iff X and Y meet. One hull routine
-serves both sides: AND the images over the subset, then cut, so it
-takes no family.
+pair is separated by a point of A iff X and Y meet; the test hands
+back the (cut, X) lists it scanned, both families. One hull routine
+serves both sides: AND the images over the subset, then cut, no family.
 """
 
 from __future__ import annotations
@@ -259,17 +259,18 @@ def is_separating(subspace: Subspace):
     Returns (answer, counterexample (ideal, filter) masks or None), the
     first in ideal then filter mask order.
     """
-    return _separates(subspace, induced_closures(subspace))
+    return _separates(subspace, induced_closures(subspace))[:2]
 
 
 def _separates(subspace: Subspace, closures):
-    """``is_separating`` over the subspace's (c1, c2) closure pair."""
+    """``is_separating`` on a (c1, c2) pair, then the ideal and filter pair lists."""
     filters = _galois_pairs(subspace, closures, 0)
-    for ideal, x in _galois_pairs(subspace, closures, 1):
+    ideals = _galois_pairs(subspace, closures, 1)
+    for ideal, x in ideals:
         for filt, y in filters:
             if not ideal & filt and not x & y:
-                return False, (ideal, filt)
-    return True, None
+                return False, (ideal, filt), ideals, filters
+    return True, None, ideals, filters
 
 
 def remove_constants(subspace: Subspace) -> Subspace:

@@ -296,17 +296,23 @@ def poset_of_family(family: SubsetFamily) -> Poset:
 
 
 def chain(k: int) -> Poset:
+    if k < 0:
+        raise ValueError(f"chain({k}): a size cannot be negative")
     labels = [f"c{i}" for i in range(k)]
     up = [((1 << k) - 1) & ~((1 << i) - 1) for i in range(k)]
     return Poset(labels, up)
 
 
 def antichain(k: int) -> Poset:
+    if k < 0:
+        raise ValueError(f"antichain({k}): a size cannot be negative")
     return Poset([f"a{i}" for i in range(k)], [1 << i for i in range(k)])
 
 
 def boolean_algebra(num_atoms: int) -> Poset:
     """The powerset of ``num_atoms`` generators ordered by inclusion."""
+    if num_atoms < 0:
+        raise ValueError(f"boolean_algebra({num_atoms}): a size cannot be negative")
     return poset_of_family(SubsetFamily(num_atoms, range(1 << num_atoms)))
 
 

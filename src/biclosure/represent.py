@@ -35,10 +35,8 @@ from .dualspace import (
     _orthodual,
     _separates,
     dual_space,
-    filters_wrt,
     generated_filter,
     generated_ideal,
-    ideals_wrt,
     is_full,
     is_separating,
     lattice_dual,
@@ -124,6 +122,12 @@ def representation_report(poset: Poset, subspace: Subspace) -> RepresentationRep
     the separating flag is computed independently so callers can confirm
     the expected implications rather than assume them.
     """
+    return _read(poset, subspace)[0]
+
+
+def _read(poset: Poset, subspace: Subspace):
+    """``representation_report``, its (c1, c2) closure pair and the pair
+    lists its separation test scanned; the caller holds them, not the report."""
     if subspace.poset != poset:
         raise ValueError("subspace is over a different poset")
     c1, c2 = induced_closures(subspace)
@@ -166,7 +170,7 @@ def representation_report(poset: Poset, subspace: Subspace) -> RepresentationRep
 
     isomorphism = isotone and injective and into and surjective and full_ok
 
-    sep_ok, sep_wit = _separates(subspace, (c1, c2))
+    sep_ok, sep_wit, ideals, filters = _separates(subspace, (c1, c2))
     if sep_wit is not None:
         witnesses["separating"] = [
             _subset_labels(poset, sep_wit[0]),
@@ -199,7 +203,7 @@ def representation_report(poset: Poset, subspace: Subspace) -> RepresentationRep
         exact=(c1.is_exact(), c2.is_exact()),
         topological=(c1.is_topological(), c2.is_topological()),
         witnesses=witnesses,
-    )
+    ), (c1, c2), ideals, filters
 
 
 def represent_general(poset: Poset, dual_cap: int = DUAL_POINT_CAP):
@@ -286,11 +290,11 @@ def represent_orthoposet(
     is verified; a failure is a bug and raises RuntimeError.
     """
     space = orthodual_space(poset, ortho, dual_cap)
-    report = representation_report(poset, space)
+    report, (c1, _), _, _ = _read(poset, space)
     _require(_ortho_laws(poset, ortho, report), "orthodual representation")
     # with coinciding closures the closed-open family is the first
     # closure's clopen family
-    return ClosureSpace(space, induced_closures(space)[0], report.family), report
+    return ClosureSpace(space, c1, report.family), report
 
 
 def represent_distributive(poset: Poset, dual_cap: int = DUAL_POINT_CAP):
@@ -314,21 +318,19 @@ def stone(poset: Poset, dual_cap: int = DUAL_POINT_CAP) -> StoneSpace:
     if not poset.is_boolean():
         raise NotBoolean("point-space construction needs a Boolean lattice")
     points = remove_constants(lattice_dual(poset, dual_cap))
-    space, laws = _stone(representation_report(poset, points))
+    space, laws = _stone(*_read(poset, points)[:2])
     _require(laws, "point-space representation")
     return space
 
 
-def _stone(report: RepresentationReport):
+def _stone(report: RepresentationReport, closures):
     """The point space read from the report on the constant-free morphism
-    dual, and the laws of that dual of a Boolean lattice; the clopen
-    algebra is the closed-open family, which is the first closure's
-    clopen family once the closures coincide."""
+    dual and from its closure pair, and the laws of that dual of a Boolean
+    lattice; the clopen algebra is the closed-open family, which is the
+    first closure's clopen family once the closures coincide."""
     points = report.subspace
     kernels = tuple(points.kernel(i) for i in range(points.size))
-    space = StoneSpace(
-        points, induced_closures(points)[0], report.family, kernels
-    )
+    space = StoneSpace(points, closures[0], report.family, kernels)
     return space, {
         "closures_coincide": report.closures_coincide,
         "exact": all(report.exact),
@@ -678,7 +680,7 @@ def check_poset(
     star = dual_space(poset, dual_cap) if wants_star or want_dist or want_bool else None
 
     if suite in ("all", "general"):
-        rep = representation_report(poset, star)
+        rep, _, ideal_pairs, filter_pairs = _read(poset, star)
         checks.append(
             CheckResult(
                 "dual-representation",
@@ -697,9 +699,9 @@ def check_poset(
             )
         )
 
-        downsets = tuple(sorted(poset.full ^ s for s in star.points))
-        ideals_ok = ideals_wrt(star).members == downsets
-        filters_ok = filters_wrt(star).members == star.points
+        downsets = {poset.full ^ s for s in star.points}
+        ideals_ok = {i for i, _ in ideal_pairs} == downsets
+        filters_ok = {f for f, _ in filter_pairs} == set(star.points)
         checks.append(
             CheckResult(
                 "ideals-are-downsets",
@@ -710,7 +712,8 @@ def check_poset(
             )
         )
 
-        # the report keeps no closure pair, so the check builds its own
+        # a pair of its own: on the report's, whose closed families are
+        # built, the check ran slower
         c1, c2 = induced_closures(star)
         eq_ok, eq_wit = _closure_formula_agrees(
             star, c1, c2, _subset_sample(star.size)
@@ -792,7 +795,7 @@ def check_poset(
     ideals, filters = _lattice_families(star) if need_families else (None, None)
 
     if want_dist:
-        repd = representation_report(poset, morph)
+        repd, _, ideal_pairs, filter_pairs = _read(poset, morph)
         fullsep = repd.full and repd.separating
         checks.append(
             CheckResult(
@@ -804,7 +807,8 @@ def check_poset(
             )
         )
         if is_dist and poset.n <= 16:
-            ok = ideals_wrt(morph) == ideals and filters_wrt(morph) == filters
+            ok = {i for i, _ in ideal_pairs} == set(ideals)
+            ok = ok and {f for f, _ in filter_pairs} == set(filters)
             checks.append(
                 CheckResult(
                     "lattice-ideals-coincide",
@@ -827,7 +831,7 @@ def check_poset(
             )
 
     if want_bool:
-        rept = representation_report(poset, remove_constants(morph))
+        rept, closures = _read(poset, remove_constants(morph))[:2]
         coincide = rept.closures_coincide
         checks.append(
             CheckResult(
@@ -839,7 +843,7 @@ def check_poset(
             )
         )
         if is_bool:
-            space, laws = _stone(rept)
+            space, laws = _stone(rept, closures)
             atoms = bin(poset.covers[poset.bottom]).count("1")
             # each kernel is a proper lattice ideal inside no other one
             proper = () if ideals is None else [d for d in ideals if d != poset.full]

@@ -19,6 +19,7 @@ from biclosure import (
     generated_ideal,
     ideal_of,
     ideals_wrt,
+    induced_closures,
     is_full,
     is_separating,
     lattice_dual,
@@ -26,6 +27,7 @@ from biclosure import (
     remove_constants,
 )
 from biclosure.bitops import bits, mask_of
+from biclosure.dualspace import _separates
 
 import oracles
 
@@ -262,6 +264,11 @@ def test_families_hulls_and_witness_match_oracles(p, data):
             [frozenset(bits(s)) for s in space.points], p.n
         )
         assert is_separating(space) == want
+        # the lists a report's readers take both families from
+        ok, wit, ideal_pairs, filter_pairs = _separates(space, induced_closures(space))
+        assert (ok, wit) == want
+        assert tuple(i for i, _ in ideal_pairs) == ideals_wrt(space).members
+        assert tuple(f for f, _ in filter_pairs) == filters_wrt(space).members
     subset = data.draw(st.integers(0, p.full))
     held = frozenset(bits(subset))
     assert generated_ideal(sub, subset) == _smallest_holding(ideals, held, p.n)

@@ -290,6 +290,15 @@ def test_negative_catalog_size_is_rejected_up_front():
         enumerate_posets(-1)
 
 
+@pytest.mark.parametrize("build", [chain, antichain, boolean_algebra])
+def test_negative_constructor_size_is_rejected_up_front(build):
+    # a negative size named in the message, not an empty poset or a
+    # negative shift count
+    message = rf"{build.__name__}\(-3\): a size cannot be negative"
+    with pytest.raises(ValueError, match=message):
+        build(-3)
+
+
 # --- isomorphism ------------------------------------------------------------------------
 
 

@@ -21,14 +21,18 @@ from biclosure import (
     clopen_sets,
     dual_space,
     enumerate_posets,
+    filters_wrt,
     find_orthocomplementations,
+    ideals_wrt,
     induced_closures,
     induced_orthocomplementation,
     is_full,
     is_separating,
+    lattice_dual,
     maximal_subspaces,
     ortho_correspondence,
     orthodual_space,
+    remove_constants,
     represent_distributive,
     represent_general,
     represent_orthoposet,
@@ -816,6 +820,75 @@ def test_separation_builds_one_closure_pair(monkeypatch, m4):
     calls.clear()
     induced_orthocomplementation(orthodual)
     assert [args[0] for args in calls] == [orthodual]
+
+
+def count_readings(monkeypatch):
+    """The closure pairs built and the _galois_pairs runs, as two lists."""
+    closures, pairs = [], []
+    for module in (dualspace_module, represent_module):
+        count_calls(monkeypatch, module, "induced_closures", closures)
+    count_calls(monkeypatch, dualspace_module, "_galois_pairs", pairs)
+    return closures, pairs
+
+
+def test_checks_and_builders_read_their_reports_closure_pairs(monkeypatch):
+    # five reports, one pair each, and the closure-equation check's own;
+    # the ideal checks read their report's cuts, the builders its c1
+    closures, pairs = count_readings(monkeypatch)
+    b8 = boolean_algebra(3)
+    report = check_poset(b8)
+    assert report.all_passed
+    names = {c.name for c in report.checks}
+    assert {"ideals-are-downsets", "lattice-ideals-coincide"} <= names
+    assert (len(closures), len(pairs)) == (6, 10)
+    f = find_orthocomplementations(b8)[0]
+    for build in (lambda: stone(b8), lambda: represent_orthoposet(b8, f)):
+        closures.clear()
+        pairs.clear()
+        build()
+        assert (len(closures), len(pairs)) == (1, 2)
+
+
+def test_catalog_builds_one_closure_pair_per_reading(monkeypatch):
+    monkeypatch.delenv("BICLOSURE_THREADS", raising=False)
+    closures, pairs = count_readings(monkeypatch)
+    assert all(r.all_passed for r in sweep_catalog(6))
+    assert (len(closures), len(pairs)) == (889, 968)
+
+
+def test_report_cuts_are_the_ideal_and_filter_families(catalog4, catalog5):
+    # the cuts the checks read, against the families built on their own,
+    # over each full dual space, its constant-free part and morphism dual
+    for p in catalog4 + catalog5:
+        star = dual_space(p)
+        spaces = [star]
+        if p.is_bounded():
+            spaces.append(remove_constants(star))
+        if p.is_lattice():
+            spaces.append(lattice_dual(p))
+        for space in spaces:
+            report, closures, ideals, filters = represent_module._read(p, space)
+            assert report == representation_report(p, space)
+            assert closures == induced_closures(space)
+            assert tuple(i for i, _ in ideals) == ideals_wrt(space).members
+            assert tuple(f for f, _ in filters) == filters_wrt(space).members
+
+
+def test_corrupted_ideal_cuts_fail_both_ideal_checks(monkeypatch):
+    # clearing bit 0 of every A-ideal cut must show in each check that
+    # compares the A-ideals, and leave the filter half passing
+    original = dualspace_module._galois_pairs
+
+    def corrupted(subspace, closures, side):
+        got = original(subspace, closures, side)
+        return [(cut & ~1, x) for cut, x in got] if side else got
+
+    monkeypatch.setattr(dualspace_module, "_galois_pairs", corrupted)
+    checks = {c.name: c for c in check_poset(boolean_algebra(3)).checks}
+    downsets = checks["ideals-are-downsets"]
+    assert not downsets.passed
+    assert downsets.witness == {"ideals": False, "filters": True}
+    assert not checks["lattice-ideals-coincide"].passed
 
 
 def test_selfdual_sweep_separates_through_is_separating(monkeypatch, m4):
