@@ -12,10 +12,15 @@ empty X gives the full carrier, a member only when A holds the right
 constant map. Both are one cut: the p whose lo-image (up-image) holds X.
 By the Galois connection, the A-filters are filter_of(X) over the
 nonempty c1-closed X, the A-ideals ideal_of(X) over the nonempty
-c2-closed X (c1, c2 the induced closures). The points vanishing on
-ideal_of(X) are X and those holding filter_of(Y) are Y, so a disjoint
-pair is separated by a point of A iff X and Y meet; the test hands
-back the (cut, X) lists it scanned, both families. One hull routine
+c2-closed X (c1, c2 the induced closures); a family's cuts are taken
+in one pass over all its closed sets per element. The points vanishing
+on ideal_of(X) are X and those holding filter_of(Y) are Y, so a
+disjoint pair is separated by a point of A iff X and Y meet. A filter
+that is itself a point a of A is separated from every ideal it misses,
+by a, so the test indexes only the other filters: per element, the mask
+of those that miss it, ANDed over an ideal's elements, is the set of
+filters disjoint from that ideal, and only those meet the X-and-Y test.
+It hands back the (cut, X) lists of both families. One hull routine
 serves both sides: AND the images over the subset, then cut, no family.
 """
 
@@ -182,8 +187,14 @@ def _galois_pairs(subspace: Subspace, closures, side: int) -> list:
     """(filter_of(X), X) over the nonempty c1-closed X (side 0), or
     (ideal_of(X), X) over the nonempty c2-closed X (side 1), in mask order."""
     image = (subspace.up_image, subspace.lo_image)[side]
-    family = closures[side].closed_family
-    return sorted((_cut(subspace, image, x), x) for x in family if x)
+    xs = [x for x in closures[side].closed_family if x]
+    cuts = [0] * len(xs)
+    # one pass over the whole family per element: p joins the cut of x
+    # when image(p) holds all of x
+    for p in range(subspace.poset.n):
+        out, bit = ~image(p), 1 << p
+        cuts = [c | bit if not x & out else c for c, x in zip(cuts, xs)]
+    return sorted(zip(cuts, xs))
 
 
 def ideals_wrt(subspace: Subspace) -> SubsetFamily:
@@ -263,12 +274,32 @@ def is_separating(subspace: Subspace):
 
 
 def _separates(subspace: Subspace, closures):
-    """``is_separating`` on a (c1, c2) pair, then the ideal and filter pair lists."""
+    """``is_separating`` on a (c1, c2) pair, then the ideal and filter pair lists.
+
+    A filter that is a point a of A is separated from every ideal it
+    misses by a itself, which vanishes on that ideal and holds the
+    filter, so only the other filters are indexed. Bit j of ``misses[p]``
+    says indexed filter j misses p; the AND of those masks over an
+    ideal's elements is the set of indexed filters disjoint from it,
+    tested lowest bit (smallest filter) first, so the witness is the
+    first unseparated pair in ideal then filter order.
+    """
     filters = _galois_pairs(subspace, closures, 0)
     ideals = _galois_pairs(subspace, closures, 1)
+    points = set(subspace.points)
+    rest = [(filt, y) for filt, y in filters if filt not in points]
+    misses = [
+        sum(1 << j for j, (filt, _) in enumerate(rest) if not filt >> p & 1)
+        for p in range(subspace.poset.n)
+    ]
+    everything = (1 << len(rest)) - 1
     for ideal, x in ideals:
-        for filt, y in filters:
-            if not ideal & filt and not x & y:
+        disjoint = everything
+        for p in bits(ideal):
+            disjoint &= misses[p]
+        for j in bits(disjoint):
+            filt, y = rest[j]
+            if not x & y:
                 return False, (ideal, filt), ideals, filters
     return True, None, ideals, filters
 

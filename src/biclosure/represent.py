@@ -17,7 +17,6 @@ machine-readable witnesses.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 import random
 from dataclasses import dataclass, field
@@ -905,6 +904,9 @@ def sweep_catalog(max_n: int, suite: str = "all", sweep_cap: int = SWEEP_CAP) ->
     job = partial(check_poset, suite=suite, sweep_cap=sweep_cap)
     count = min(_worker_count(), len(posets), os.cpu_count() or 1)
     if count > 1:
+        # imported here so a serial run never loads the pool (and logging)
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=count) as pool:
             return list(pool.map(job, posets))
     return [job(p) for p in posets]

@@ -154,6 +154,27 @@ def first_unseparated_pair(point_one_sets, n):
     return True, None
 
 
+def per_set_cuts(images, family):
+    """(cut, x) over the nonempty x of ``family``, in mask order, each cut
+    taken on its own: the elements p whose image holds all of x."""
+    return sorted(
+        (sum(1 << p for p, image in enumerate(images) if not x & ~image), x)
+        for x in family
+        if x
+    )
+
+
+def pair_scan(ideal_pairs, filter_pairs):
+    """Every (ideal, X) against every (filter, Y), ideals then filters in
+    list order: the first disjoint pair whose closed sets X and Y do not
+    meet, as (verdict, (ideal, filter) or None)."""
+    for ideal, x in ideal_pairs:
+        for filt, y in filter_pairs:
+            if not ideal & filt and not x & y:
+                return False, (ideal, filt)
+    return True, None
+
+
 # --- the point-image map ------------------------------------------------------------
 
 

@@ -73,14 +73,18 @@ def test_stone_space_extends_the_closure_space():
 
 def test_no_process_pool_module_is_loaded_until_a_pool_starts():
     # only BICLOSURE_THREADS > 1 starts a pool; a serial check must not
-    # pay for importing multiprocessing
+    # pay for importing multiprocessing, concurrent.futures or the
+    # logging module the latter loads
     code = (
         "import sys, biclosure\n"
         "biclosure.check_poset(biclosure.chain(3))\n"
-        "print('multiprocessing' in sys.modules)\n"
+        "biclosure.sweep_catalog(2)\n"
+        "names = ('multiprocessing', 'concurrent.futures', 'logging')\n"
+        "print([name for name in names if name in sys.modules])\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
+    env.pop("BICLOSURE_THREADS", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
@@ -88,4 +92,4 @@ def test_no_process_pool_module_is_loaded_until_a_pool_starts():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n"

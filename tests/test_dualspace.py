@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from biclosure import (
     NotALattice,
     NotBounded,
     Subspace,
+    antichain,
     chain,
     dual_space,
     enumerate_posets,
@@ -27,7 +30,7 @@ from biclosure import (
     remove_constants,
 )
 from biclosure.bitops import bits, mask_of
-from biclosure.dualspace import _separates
+from biclosure.dualspace import _galois_pairs, _separates
 
 import oracles
 
@@ -273,6 +276,53 @@ def test_families_hulls_and_witness_match_oracles(p, data):
     held = frozenset(bits(subset))
     assert generated_ideal(sub, subset) == _smallest_holding(ideals, held, p.n)
     assert generated_filter(sub, subset) == _smallest_holding(filters, held, p.n)
+
+
+def drawn_subspaces(seed, count):
+    """``count`` random subspaces of full duals over the n <= 6 catalog,
+    and the four subspaces of antichain(0) and chain(1)."""
+    rng = random.Random(seed)
+    catalog = [p for n in range(1, 7) for p in enumerate_posets(n)]
+    stars = [dual_space(antichain(0)), dual_space(chain(1))]
+    for star in stars:
+        yield star.restrict(0)
+        yield star
+    for _ in range(count):
+        star = dual_space(rng.choice(catalog))
+        yield star.restrict(rng.getrandbits(star.size))
+
+
+def test_batched_cuts_match_per_set_cuts():
+    for sub in drawn_subspaces(7, 300):
+        closures = induced_closures(sub)
+        for side, image, cut in (
+            (0, sub.up_image, filter_of),
+            (1, sub.lo_image, ideal_of),
+        ):
+            family = closures[side].closed_family
+            images = [image(p) for p in range(sub.poset.n)]
+            want = oracles.per_set_cuts(images, family)
+            assert _galois_pairs(sub, closures, side) == want
+            assert want == sorted((cut(sub, x), x) for x in family if x)
+
+
+def test_separation_masks_match_the_pair_scan():
+    # the draw must reach both fast paths: unseparated pairs, and
+    # separating subspaces where a filter that is no point of A misses
+    # some ideal, so the masks (not the point-filter drop) decide
+    unseparated = masked = 0
+    for sub in drawn_subspaces(11, 800):
+        closures = induced_closures(sub)
+        filters = _galois_pairs(sub, closures, 0)
+        ideals = _galois_pairs(sub, closures, 1)
+        want = oracles.pair_scan(ideals, filters)
+        assert _separates(sub, closures) == (*want, ideals, filters)
+        one_sets = [frozenset(bits(s)) for s in sub.points]
+        assert want == oracles.first_unseparated_pair(one_sets, sub.poset.n)
+        unseparated += not want[0]
+        others = [f for f, _ in filters if f not in sub.points]
+        masked += want[0] and any(not i & f for i, _ in ideals for f in others)
+    assert unseparated >= 100 and masked >= 100
 
 
 def nearly_flat():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import random
@@ -597,9 +598,8 @@ def test_sweep_starts_at_most_one_worker_per_cpu_and_poset(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(
-        represent_module.concurrent.futures, "ProcessPoolExecutor", RecordingPool
-    )
+    # sweep_catalog imports the module only when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setenv("BICLOSURE_THREADS", "5000")
     serial = [r.to_json() for r in sweep_catalog(3)]
     for cpus, max_n, want in (
