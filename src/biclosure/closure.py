@@ -10,6 +10,12 @@ A subspace A of a dual space induces two such operators on A itself:
 one generated by the up-images {x in A : x(p) = 1} over all p, one by
 their complements. Most of the questions this package answers reduce to
 how those two operators relate.
+
+The closed family is grown in one pass, one generator at a time, and
+each closed set is recorded with the mask of the generators that hold
+it: extent and intent, in formal concept terms. On an induced closure
+generator p comes from element p, so that mask is the closed set's
+A-filter or A-ideal cut, and no second pass over the family takes it.
 """
 
 from __future__ import annotations
@@ -23,14 +29,19 @@ from .poset import SubsetFamily
 class ClosureOperator:
     """Closure on {0..m-1} whose closed sets are intersections of a base.
 
-    The closed family is built on first use; ``apply`` needs only the base.
+    The closed family is built on first use, each closed set together
+    with the mask of the generators (bit i for the i-th, in the order
+    given) that hold it; ``apply`` needs only the base.
     """
 
     def __init__(self, m: int, base):
-        if not isinstance(base, SubsetFamily):
-            base = SubsetFamily(m, base)
-        elif base.m != m:
-            raise CarrierMismatch("base family lives on a different carrier")
+        if isinstance(base, SubsetFamily):
+            if base.m != m:
+                raise CarrierMismatch("base family lives on a different carrier")
+            self._generators = base.members
+        else:
+            self._generators = tuple(base)
+            base = SubsetFamily(m, self._generators)
         self.m = m
         self.full = (1 << m) - 1
         self.base = base
@@ -38,11 +49,27 @@ class ClosureOperator:
         self._members = base.members
 
     @cached_property
+    def _intents(self) -> dict:
+        """Each closed set mapped to the mask of the generators holding it.
+
+        Generator i adds x & b for every closed x. The closed x with
+        x & b = y all contain the closure of y so far, which holds the
+        most generators, so OR-ing their masks (with bit i) gives exactly
+        the generators up to i that hold y.
+        """
+        family = {self.full: 0}
+        for i, b in enumerate(self._generators):
+            bit = 1 << i
+            grown: dict = {}
+            for x, held in family.items():
+                y = x & b
+                grown[y] = grown.get(y, bit) | held
+            family.update(grown)
+        return family
+
+    @cached_property
     def closed_family(self) -> SubsetFamily:
-        family: set = {self.full}
-        for b in self.base:
-            family |= {b & c for c in family}
-        return SubsetFamily(self.m, family)
+        return SubsetFamily(self.m, self._intents)
 
     def apply(self, x: int) -> int:
         """Smallest closed superset of x."""

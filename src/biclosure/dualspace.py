@@ -12,8 +12,11 @@ empty X gives the full carrier, a member only when A holds the right
 constant map. Both are one cut: the p whose lo-image (up-image) holds X.
 By the Galois connection, the A-filters are filter_of(X) over the
 nonempty c1-closed X, the A-ideals ideal_of(X) over the nonempty
-c2-closed X (c1, c2 the induced closures); a family's cuts are taken
-in one pass over all its closed sets per element. The points vanishing
+c2-closed X (c1, c2 the induced closures). Generator p of c1 (c2) is
+up_image(p) (lo_image(p)), so the cut of a closed X is the mask of the
+generators holding it, and the one set-growth pass that builds a
+closure's closed family records each closed set's cut with it: extent
+and intent of one formal concept, built together. The points vanishing
 on ideal_of(X) are X and those holding filter_of(Y) are Y, so a
 disjoint pair is separated by a point of A iff X and Y meet. A filter
 that is itself a point a of A is separated from every ideal it misses,
@@ -32,7 +35,7 @@ from typing import NamedTuple
 from .bitops import bits
 from .closure import induced_closures
 from .errors import InvalidOrthoMap, MemberOutOfRange, NotALattice, NotBounded
-from .poset import OrthoMap, Poset, SubsetFamily, _closed, _upsets
+from .poset import OrthoMap, Poset, SubsetFamily, _closed, _transpose, _upsets
 
 DUAL_POINT_CAP = 1 << 20
 
@@ -63,11 +66,7 @@ class Subspace:
 
     @cached_property
     def _up_images(self):
-        images = [0] * self.poset.n
-        for i, s in enumerate(self.points):
-            for p in bits(s):
-                images[p] |= 1 << i
-        return tuple(images)
+        return _transpose(self.points, self.poset.n)
 
     def up_image(self, p: int) -> int:
         """Indices of the points whose one-set contains p."""
@@ -185,16 +184,16 @@ def filter_of(subspace: Subspace, point_indices: int) -> int:
 
 def _galois_pairs(subspace: Subspace, closures, side: int) -> list:
     """(filter_of(X), X) over the nonempty c1-closed X (side 0), or
-    (ideal_of(X), X) over the nonempty c2-closed X (side 1), in mask order."""
-    image = (subspace.up_image, subspace.lo_image)[side]
-    xs = [x for x in closures[side].closed_family if x]
-    cuts = [0] * len(xs)
-    # one pass over the whole family per element: p joins the cut of x
-    # when image(p) holds all of x
-    for p in range(subspace.poset.n):
-        out, bit = ~image(p), 1 << p
-        cuts = [c | bit if not x & out else c for c, x in zip(cuts, xs)]
-    return sorted(zip(cuts, xs))
+    (ideal_of(X), X) over the nonempty c2-closed X (side 1), in mask order.
+
+    ``closures`` must be the pair ``induced_closures(subspace)`` built,
+    as every caller hands it (``_read``, ``is_separating``, ``ideals_wrt``,
+    ``filters_wrt`` and ``induced_orthocomplementation``): generator p of
+    c1 (c2) is then up_image(p) (lo_image(p)), so the cut of X is the
+    mask of the generators holding X, which the pass that built the
+    closed family recorded with it.
+    """
+    return sorted((cut, x) for x, cut in closures[side]._intents.items() if x)
 
 
 def ideals_wrt(subspace: Subspace) -> SubsetFamily:
@@ -274,7 +273,8 @@ def is_separating(subspace: Subspace):
 
 
 def _separates(subspace: Subspace, closures):
-    """``is_separating`` on a (c1, c2) pair, then the ideal and filter pair lists.
+    """``is_separating`` on the (c1, c2) pair ``induced_closures(subspace)``
+    built, then the ideal and filter pair lists.
 
     A filter that is a point a of A is separated from every ideal it
     misses by a itself, which vanishes on that ideal and holds the

@@ -82,7 +82,7 @@ class Poset:
     @cached_property
     def down(self):
         """down[j] is the mask of all i with i <= j."""
-        return _transpose(self.up)
+        return _transpose(self.up, self.n)
 
     @cached_property
     def covers(self):
@@ -195,10 +195,12 @@ class Poset:
         return f"Poset({self.n} elements)"
 
 
-def _transpose(up) -> tuple:
-    """The down-rows of the order with up-rows ``up``."""
-    out = [0] * len(up)
-    for i, row in enumerate(up):
+def _transpose(rows, width: int) -> tuple:
+    """The columns j < ``width`` of the bit rows ``rows``, as rows: bit i
+    of column j is bit j of row i. The down-rows of an order are the
+    transpose of its up-rows."""
+    out = [0] * width
+    for i, row in enumerate(rows):
         for j in bits(row):
             out[j] |= 1 << i
     return tuple(out)
@@ -485,7 +487,7 @@ def _children(posets):
     """Each (up-rows, tag) pair of ``posets`` with each down-set d of its
     order, in ascending order of d: the next level of ``_natural_posets``."""
     for up, tag in posets:
-        for d in sorted(_upsets(_transpose(up), 1 << len(up))):
+        for d in sorted(_upsets(_transpose(up, len(up)), 1 << len(up))):
             yield up, tag, d
 
 

@@ -218,6 +218,16 @@ def brute_closed_family(m, base_sets):
     return out
 
 
+def brute_intents(m, base_sets):
+    """Each member of the brute family with the indices of the base
+    members that hold it."""
+    sets = [frozenset(s) for s in base_sets]
+    return {
+        x: frozenset(i for i, b in enumerate(sets) if x <= b)
+        for x in brute_closed_family(m, base_sets)
+    }
+
+
 def brute_closure_apply(m, base_sets, x):
     """Smallest member of the brute family containing x."""
     family = brute_closed_family(m, base_sets)

@@ -68,6 +68,19 @@ def test_closed_family_matches_brute_intersections(mb):
     assert {frozenset(bits(x)) for x in c.closed_family} == want
 
 
+def intents_as_sets(c):
+    return {frozenset(bits(x)): frozenset(bits(held)) for x, held in c._intents.items()}
+
+
+@settings(max_examples=100)
+@given(carriers_with_bases())
+def test_intents_match_brute_intents(mb):
+    m, base = mb
+    c = ClosureOperator(m, base)
+    want = oracles.brute_intents(m, [set(bits(b)) for b in base])
+    assert intents_as_sets(c) == want
+
+
 @settings(max_examples=100)
 @given(carriers_with_bases())
 def test_closed_family_is_exactly_the_fixed_points(mb):
@@ -208,3 +221,29 @@ def test_closed_family_is_built_on_first_use(m, base):
     assert "closed_family" not in c.__dict__
     assert len(c.closed_family) == len(oracles.brute_closed_family(m, sets))
     assert "closed_family" in c.__dict__
+
+
+@pytest.mark.parametrize(
+    "m, base",
+    [
+        (4, [0b0110, 0b1100, 0b0011, 0b1110]),
+        (21, [0b0110, 0b1100, 0b0011, (1 << 21) - 2]),
+        (5, [0b11111, 0b00110, 0b10100]),  # a member equal to the carrier
+        (5, []),  # every closure is the carrier
+        (70, [_WIDE, _WIDE ^ 1 << 65, 0b111 | 1 << 69, 1 << 66 | 0b1110]),
+        (130, [(1 << 130) - 1 ^ 1 << 3, 1 << 129 | 1 << 64 | 0b1, 1 << 64 | 0b11]),
+        (5, [0b00110, 0b10110, 0b00110, 0b11111, 0b10110]),  # repeated generators
+    ],
+    ids=["4", "21", "full-member", "empty-base", "m70", "m130", "repeated"],
+)
+def test_intents_are_built_with_the_family_not_by_apply(m, base):
+    # bit i of a closed set's intent is generator i in the order given,
+    # repeats included; apply() and the flags read the base alone
+    c = ClosureOperator(m, base)
+    for x in (0, 1, 1 << (m - 1), *base):
+        c.apply(x)
+    c.is_exact()
+    assert "_intents" not in c.__dict__
+    sets = [set(bits(b)) for b in base]
+    assert intents_as_sets(c) == oracles.brute_intents(m, sets)
+    assert set(c.closed_family) == set(c._intents)

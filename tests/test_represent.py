@@ -891,6 +891,49 @@ def test_corrupted_ideal_cuts_fail_both_ideal_checks(monkeypatch):
     assert not checks["lattice-ideals-coincide"].passed
 
 
+def test_unseparated_trimmed_dual_fails_constant_removal(monkeypatch, b4):
+    # a _separates that fails only on a subspace holding neither constant
+    # reaches the trimmed dual alone: constant-removal must fail with the
+    # trimmed dual's witnesses, and every other general check pass
+    original = represent_module._separates
+
+    def planted(subspace, closures):
+        ok, witness, ideals, filters = original(subspace, closures)
+        if {0, subspace.poset.full}.isdisjoint(subspace.points):
+            return False, (ideals[0][0], filters[0][0]), ideals, filters
+        return ok, witness, ideals, filters
+
+    monkeypatch.setattr(represent_module, "_separates", planted)
+    checks = {c.name: c for c in check_poset(b4, suite="general").checks}
+    removal = checks.pop("constant-removal")
+    assert not removal.passed
+    trimmed = remove_constants(dual_space(b4))
+    assert removal.witness == representation_report(b4, trimmed).witnesses
+    assert "separating" in removal.witness
+    assert all(c.passed for c in checks.values())
+
+
+def test_full_separating_m3_morphism_dual_fails_the_distributive_check(monkeypatch, m3):
+    # M3 is not distributive, so an is_full and a _separates that report
+    # its morphism dual full and separating break the equivalence
+    morph = lattice_dual(m3)
+    full, separates = represent_module.is_full, represent_module._separates
+
+    def planted_full(subspace):
+        return (True, None) if subspace == morph else full(subspace)
+
+    def planted_separates(subspace, closures):
+        got = separates(subspace, closures)
+        return (True, None, *got[2:]) if subspace == morph else got
+
+    monkeypatch.setattr(represent_module, "is_full", planted_full)
+    monkeypatch.setattr(represent_module, "_separates", planted_separates)
+    checks = {c.name: c for c in check_poset(m3, suite="distributive").checks}
+    check = checks["distributive-iff-full-separating"]
+    assert not check.passed
+    assert check.witness == {"distributive": False, "full_separating": True}
+
+
 def test_selfdual_sweep_separates_through_is_separating(monkeypatch, m4):
     calls = []
     count_calls(monkeypatch, represent_module, "is_separating", calls)
