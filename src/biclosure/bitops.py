@@ -3,7 +3,8 @@
 Subsets of a finite carrier {0, ..., m-1} are plain ints with bit i set
 iff element i is in the subset. Intersection, union and complement are
 then single word operations, which is what makes the exhaustive sweeps
-elsewhere affordable.
+elsewhere affordable. ``and_tables`` serves the closure-equation check,
+the selfdual sweep and the orthodual filter.
 """
 
 from __future__ import annotations

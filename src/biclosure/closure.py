@@ -98,9 +98,8 @@ class ClosureOperator:
         members = self.closed_family.members
         family = set(members)
         return all(
-            (a | b) in family
+            all(map(family.__contains__, map(a.__or__, members[i + 1 :])))
             for i, a in enumerate(members)
-            for b in members[i + 1 :]
         )
 
     def __eq__(self, other):

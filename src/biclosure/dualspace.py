@@ -32,7 +32,7 @@ from __future__ import annotations
 from functools import cached_property, partial
 from typing import NamedTuple
 
-from .bitops import bits
+from .bitops import and_folds, and_tables, bits
 from .closure import induced_closures
 from .errors import InvalidOrthoMap, MemberOutOfRange, NotALattice, NotBounded
 from .poset import OrthoMap, Poset, SubsetFamily, _closed, _transpose, _upsets
@@ -127,8 +127,10 @@ def orthodual_space(poset: Poset, ortho: OrthoMap, cap: int = DUAL_POINT_CAP) ->
 def _orthodual(star: Subspace, ortho: OrthoMap) -> Subspace:
     """``orthodual_space`` filtered from the dual space ``star`` of ortho's poset."""
     full = star.poset.full
-    keep = [s for s in star.points if ortho.image_mask(s) == full ^ s]
-    return Subspace(star.poset, keep)
+    # the fold over s is the complement of f(s): s itself on the orthodual
+    tables = and_tables([full ^ 1 << j for j in ortho.perm], full)
+    folds = and_folds(tables, star.points)
+    return Subspace(star.poset, [s for s, c in zip(star.points, folds) if c == s])
 
 
 def lattice_dual(poset: Poset, cap: int = DUAL_POINT_CAP) -> Subspace:
@@ -193,7 +195,11 @@ def _galois_pairs(subspace: Subspace, closures, side: int) -> list:
     mask of the generators holding X, which the pass that built the
     closed family recorded with it.
     """
-    return sorted((cut, x) for x, cut in closures[side]._intents.items() if x)
+    intents = closures[side]._intents
+    pairs = sorted(zip(intents.values(), intents))
+    if not pairs[-1][1]:  # a closed empty X: every generator holds it
+        pairs.pop()
+    return pairs
 
 
 def ideals_wrt(subspace: Subspace) -> SubsetFamily:
@@ -279,20 +285,19 @@ def _separates(subspace: Subspace, closures):
     A filter that is a point a of A is separated from every ideal it
     misses by a itself, which vanishes on that ideal and holds the
     filter, so only the other filters are indexed. Bit j of ``misses[p]``
-    says indexed filter j misses p; the AND of those masks over an
-    ideal's elements is the set of indexed filters disjoint from it,
-    tested lowest bit (smallest filter) first, so the witness is the
-    first unseparated pair in ideal then filter order.
+    says indexed filter j misses p, so ``misses`` is the complement of
+    the filters' transpose. The AND of those masks over an ideal's
+    elements is the set of indexed filters disjoint from it, tested
+    lowest bit (smallest filter) first, so the witness is the first
+    unseparated pair in ideal then filter order.
     """
     filters = _galois_pairs(subspace, closures, 0)
     ideals = _galois_pairs(subspace, closures, 1)
     points = set(subspace.points)
     rest = [(filt, y) for filt, y in filters if filt not in points]
-    misses = [
-        sum(1 << j for j, (filt, _) in enumerate(rest) if not filt >> p & 1)
-        for p in range(subspace.poset.n)
-    ]
     everything = (1 << len(rest)) - 1
+    columns = _transpose([filt for filt, _ in rest], subspace.poset.n)
+    misses = [everything ^ c for c in columns]
     for ideal, x in ideals:
         disjoint = everything
         for p in bits(ideal):

@@ -16,7 +16,8 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
 from .bitops import bits, mask_of
 from .errors import (
@@ -195,14 +196,22 @@ class Poset:
         return f"Poset({self.n} elements)"
 
 
+# _ONES[t] maps each byte to ASCII "1" or "0" by its bit t
+_ONES = [bytes(b"01"[b >> t & 1] for b in range(256)) for t in range(8)]
+
+
 def _transpose(rows, width: int) -> tuple:
     """The columns j < ``width`` of the bit rows ``rows``, as rows: bit i
-    of column j is bit j of row i. The down-rows of an order are the
-    transpose of its up-rows."""
-    out = [0] * width
-    for i, row in enumerate(rows):
-        for j in bits(row):
-            out[j] |= 1 << i
+    of column j is bit j of row i; bits at or above ``width`` are not
+    read. The down-rows of an order are the transpose of its up-rows.
+    Bits k to k + 7 of the rows, last row first, make one byte string,
+    which ``_ONES[t]`` translates into column k + t in binary for ``int``.
+    """
+    out = []
+    for k in range(0, width, 8):
+        block = bytes([r >> k & 255 for r in reversed(rows)])
+        for j in range(min(8, width - k)):
+            out.append(int(block.translate(_ONES[j]) or b"0", 2))
     return tuple(out)
 
 
@@ -250,12 +259,10 @@ class SubsetFamily:
     def __init__(self, m: int, members):
         self.m = m
         self.full = (1 << m) - 1
-        seen = set()
-        for x in members:
-            if x & ~self.full:
-                raise MemberOutOfRange(f"member {x:#x} exceeds carrier of size {m}")
-            seen.add(x)
-        self.members = tuple(sorted(seen))
+        self.members = tuple(sorted(set(members)))
+        if reduce(or_, self.members, 0) & ~self.full:
+            x = next(x for x in self.members if x & ~self.full)
+            raise MemberOutOfRange(f"member {x:#x} exceeds carrier of size {m}")
 
     def __iter__(self):
         return iter(self.members)

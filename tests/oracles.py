@@ -175,6 +175,17 @@ def pair_scan(ideal_pairs, filter_pairs):
     return True, None
 
 
+def bit_transpose(rows, width):
+    """Columns j < width of the bit rows, one bit at a time: bit i of
+    column j is bit j of row i."""
+    out = [0] * width
+    for i, row in enumerate(rows):
+        for j in range(width):
+            if row >> j & 1:
+                out[j] |= 1 << i
+    return tuple(out)
+
+
 # --- the point-image map ------------------------------------------------------------
 
 

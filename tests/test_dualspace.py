@@ -12,6 +12,7 @@ from biclosure import (
     NotBounded,
     Subspace,
     antichain,
+    build_poset,
     chain,
     dual_space,
     enumerate_posets,
@@ -30,7 +31,7 @@ from biclosure import (
     remove_constants,
 )
 from biclosure.bitops import bits, mask_of
-from biclosure.dualspace import _galois_pairs, _separates
+from biclosure.dualspace import _galois_pairs, _orthodual, _separates
 
 import oracles
 
@@ -402,6 +403,27 @@ def test_orthodual_points_swap_values_under_complement(b4, m4):
             for s in od.points:
                 for e in range(p.n):
                     assert (s >> e & 1) != (s >> f(e) & 1)
+
+
+def test_orthodual_filter_matches_the_image_mask_filter():
+    # every orthocomplementation of the bounded classes up to 6 elements
+    # and of M_4 to M_8 (k atoms between a bottom and a top)
+    bundles = [
+        build_poset(
+            ["0"] + [f"a{i}" for i in range(k)] + ["1"],
+            [("0", f"a{i}") for i in range(k)] + [(f"a{i}", "1") for i in range(k)],
+        )
+        for k in range(4, 9)
+    ]
+    bounded = [p for n in range(1, 7) for p in enumerate_posets(n) if p.is_bounded()]
+    maps = 0
+    for p in bounded + bundles:
+        star = dual_space(p)
+        for f in find_orthocomplementations(p):
+            want = [s for s in star.points if f.image_mask(s) == p.full ^ s]
+            assert _orthodual(star, f).points == tuple(want)
+            maps += 1
+    assert maps == 7 + 3 + 15 + 105
 
 
 def test_orthodual_rejects_foreign_map(b4, m4):

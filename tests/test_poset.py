@@ -30,7 +30,7 @@ from biclosure import (
 )
 from biclosure import poset as poset_module
 from biclosure.bitops import bits, mask_of
-from biclosure.poset import _canonical, _natural_posets, _upsets
+from biclosure.poset import _canonical, _natural_posets, _transpose, _upsets
 
 import oracles
 
@@ -545,6 +545,23 @@ def test_boolean_algebra_element_count():
 
 
 # --- order duality ------------------------------------------------------------------
+
+
+@given(
+    st.integers(0, 70),
+    st.lists(st.integers(0, (1 << 80) - 1), max_size=40),
+    st.booleans(),
+)
+def test_transpose_matches_the_bit_loop(width, rows, as_tuple):
+    # rows wider than width too: their bits at or above it are not read
+    rows = tuple(rows) if as_tuple else rows
+    assert _transpose(rows, width) == oracles.bit_transpose(rows, width)
+
+
+def test_transpose_of_no_rows_is_zero_columns():
+    for rows in ((), []):
+        assert _transpose(rows, 0) == ()
+        assert _transpose(rows, 11) == (0,) * 11
 
 
 def test_opposite_swaps_up_and_down(catalog4, catalog5):

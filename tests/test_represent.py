@@ -45,8 +45,8 @@ from biclosure import (
 import biclosure.dualspace as dualspace_module
 import biclosure.represent as represent_module
 from biclosure.bitops import bits
-from biclosure.dualspace import Hull, _fullness_witnesses, _lattice_families
-from biclosure.poset import Poset
+from biclosure.dualspace import Hull, Subspace, _fullness_witnesses, _lattice_families
+from biclosure.poset import Poset, SubsetFamily
 from biclosure.represent import (
     SUITES,
     SWEEP_CAP,
@@ -932,6 +932,141 @@ def test_full_separating_m3_morphism_dual_fails_the_distributive_check(monkeypat
     check = checks["distributive-iff-full-separating"]
     assert not check.passed
     assert check.witness == {"distributive": False, "full_separating": True}
+
+
+def test_orthodual_of_another_map_fails_set_complementation(monkeypatch, m4):
+    # the orthodual of the next map is full and separating, with one
+    # closure and the order cones, but f is not its set complement
+    orthos = find_orthocomplementations(m4)
+    original = dualspace_module._orthodual
+
+    def planted(star, f):
+        return original(star, orthos[(orthos.index(f) + 1) % len(orthos)])
+
+    monkeypatch.setattr(dualspace_module, "_orthodual", planted)
+    monkeypatch.setattr(represent_module, "_orthodual", planted)
+    with pytest.raises(RuntimeError, match="complement_as_set_complement"):
+        represent_orthoposet(m4, orthos[0])
+    checks = check_poset(m4, suite="ortho").checks
+    assert [c.name for c in checks] == [f"ortho-representation-{k}" for k in range(3)]
+    for c in checks:
+        assert not c.passed
+        assert c.witness == {
+            "closures_coincide": True,
+            "isomorphism": True,
+            "complement_as_set_complement": False,
+            "cones": True,
+        }
+
+
+def test_false_full_or_separating_verdicts_make_reports_inconsistent(monkeypatch):
+    # a, b below d, c apart: the points {c}, {d}, {a,c,d}, {b,c,d} are not
+    # separating, and their closed-open family has a set other than the
+    # empty one and the whole that is no point image
+    p = build_poset("abcd", [("a", "d"), ("b", "d")])
+    unseparated = Subspace(p, [0b0100, 0b1000, 0b1101, 0b1110])
+    # one point vanishing on both elements of a 2-chain: not injective
+    c2 = chain(2)
+    collapsed = Subspace(c2, [0])
+    for poset, space in ((p, unseparated), (c2, collapsed)):
+        report = representation_report(poset, space)
+        assert report.consistent and not (report.separating and report.full)
+    separates, full = represent_module._separates, represent_module.is_full
+    monkeypatch.setattr(
+        represent_module, "_separates", lambda *a: (True, None, *separates(*a)[2:])
+    )
+    report = representation_report(p, unseparated)
+    assert report.separating and not report.consistent
+    assert report.to_json()["flags"]["consistent"] is False
+    monkeypatch.setattr(represent_module, "_separates", separates)
+    monkeypatch.setattr(represent_module, "is_full", lambda space: (True, None))
+    report = representation_report(c2, collapsed)
+    assert report.full and not report.injective and not report.consistent
+
+
+def test_non_maximal_kernels_fail_the_stone_check(monkeypatch, b8):
+    # the lattice-ideal family read by the Stone check gains a proper set
+    # above every kernel, or loses one kernel
+    original = _lattice_families
+    kernel = b8.full ^ stone(b8).subspace.points[0]
+    plants = (
+        lambda ideals: ideals.members + (b8.full ^ 1 << b8.top,),
+        lambda ideals: [d for d in ideals if d != kernel],
+    )
+    for plant in plants:
+
+        def planted(star, plant=plant):
+            ideals, filters = original(star)
+            return SubsetFamily(ideals.m, plant(ideals)), filters
+
+        monkeypatch.setattr(represent_module, "_lattice_families", planted)
+        checks = {c.name: c for c in check_poset(b8, suite="boolean").checks}
+        assert checks["boolean-iff-coincident-closures"].passed
+        check = checks["stone-representation"]
+        assert not check.passed
+        assert check.witness == {
+            "points": 3,
+            "atoms": 3,
+            "clopen": 8,
+            "kernels_maximal_ideals": False,
+        }
+
+
+def test_unseparated_full_dual_fails_dual_full_separating(monkeypatch, vee):
+    star = dual_space(vee)
+    original = represent_module._separates
+
+    def planted(subspace, closures):
+        ok, witness, ideals, filters = original(subspace, closures)
+        if subspace == star:
+            return False, (ideals[0][0], filters[0][0]), ideals, filters
+        return ok, witness, ideals, filters
+
+    monkeypatch.setattr(represent_module, "_separates", planted)
+    checks = check_poset(vee, suite="general").checks
+    failed = [c for c in checks if not c.passed]
+    assert [c.name for c in failed] == ["dual-full-separating"]
+    ideals, filters = represent_module._read(vee, star)[2:]
+    assert failed[0].witness == {
+        "separating": [
+            represent_module._subset_labels(vee, ideals[0][0]),
+            represent_module._subset_labels(vee, filters[0][0]),
+        ]
+    }
+
+
+def test_separating_dual_called_not_full_fails_cone_fullness(monkeypatch, vee):
+    # the full dual is separating with disjoint cones over every
+    # non-relation, so a false non-fullness breaks the implication
+    monkeypatch.setattr(represent_module, "is_full", lambda space: (False, (1, 2)))
+    checks = {c.name: c for c in check_poset(vee, suite="general").checks}
+    check = checks["separating-cone-fullness"]
+    assert not check.passed
+    assert check.witness == {"separating": True, "cones_disjoint": True, "full": False}
+    assert not checks["dual-full-separating"].passed
+
+
+def test_wrong_coincidence_fails_the_boolean_equivalence(monkeypatch, b4):
+    # chain(3) is distributive and not Boolean, b4 Boolean: give the first
+    # constant-free morphism dual coinciding closures, the second two
+    # different ones
+    original = represent_module.induced_closures
+    for poset, boolean in ((chain(3), False), (b4, True)):
+        trimmed = remove_constants(lattice_dual(poset))
+        assert check_poset(poset, suite="boolean").all_passed
+
+        def planted(space, trimmed=trimmed):
+            c1, c2 = original(space)
+            if space != trimmed:
+                return c1, c2
+            return (c1, c1) if c1 != c2 else (c1, ClosureOperator(c1.m, []))
+
+        monkeypatch.setattr(represent_module, "induced_closures", planted)
+        checks = {c.name: c for c in check_poset(poset, suite="boolean").checks}
+        check = checks["boolean-iff-coincident-closures"]
+        assert not check.passed
+        assert check.witness == {"boolean": boolean, "closures_coincide": not boolean}
+        monkeypatch.setattr(represent_module, "induced_closures", original)
 
 
 def test_selfdual_sweep_separates_through_is_separating(monkeypatch, m4):
