@@ -131,7 +131,7 @@ def _read(poset: Poset, subspace: Subspace):
         raise ValueError("subspace is over a different poset")
     c1, c2 = induced_closures(subspace)
     n = poset.n
-    table = tuple(subspace.up_image(p) for p in range(n))
+    table = subspace._up_images
     family = closed_open_family(c1, c2)
     witnesses: dict = {}
     labels = poset.labels
