@@ -98,8 +98,9 @@ class ClosureOperator:
         members = self.closed_family.members
         family = set(members)
         return all(
-            all(map(family.__contains__, map(a.__or__, members[i + 1 :])))
+            (a | b) in family
             for i, a in enumerate(members)
+            for b in members[i + 1 :]
         )
 
     def __eq__(self, other):
