@@ -971,6 +971,9 @@ def test_false_full_or_separating_verdicts_make_reports_inconsistent(monkeypatch
     for poset, space in ((p, unseparated), (c2, collapsed)):
         report = representation_report(poset, space)
         assert report.consistent and not (report.separating and report.full)
+    report = representation_report(p, unseparated)
+    images = {0, unseparated.all_mask, *report.sigma_table}
+    assert any(x not in images for x in report.family)
     separates, full = represent_module._separates, represent_module.is_full
     monkeypatch.setattr(
         represent_module, "_separates", lambda *a: (True, None, *separates(*a)[2:])
