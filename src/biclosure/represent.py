@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Optional
 
 from .bitops import BLOCK, and_folds, and_tables, bits
@@ -54,6 +54,7 @@ from .poset import (
     OrthoMap,
     Poset,
     SubsetFamily,
+    _transpose,
     enumerate_posets,
     find_orthocomplementations,
     poset_to_json,
@@ -383,10 +384,7 @@ def _selfdual_sweep(star: Subspace, cap: int) -> list:
     # points and the rest, and read which witnesses each half hits, as a
     # bit per witness, from one table per half
     witnesses = sorted({held for _, _, held in _fullness_witnesses(star)})
-    columns = [
-        sum(1 << w for w, held in enumerate(witnesses) if held >> i & 1)
-        for i in range(m)
-    ]
+    columns = _transpose(witnesses, m)
     k = min(m, _LOW_BITS)
     low_hits = _hit_table(columns[:k])
     every = (1 << len(witnesses)) - 1
@@ -433,9 +431,8 @@ def _cut_filter(rows, m: int, k: int):
     subsets high << k | low pass the test on every row, filtered one row
     at a time. A row's tables are built when a subset first reaches it.
     """
-    misses = [
-        sum(1 << j for j, t in enumerate(rows) if not t >> i & 1) for i in range(m)
-    ]
+    everything = (1 << len(rows)) - 1
+    misses = [everything ^ c for c in _transpose(rows, m)]
     tables = [None] * len(rows)
 
     def build(i: int):
@@ -647,7 +644,176 @@ def _subset_sample(m: int):
     return list(map(rng.getrandbits, [m] * _SAMPLES))
 
 
-SUITES = ("all", "general", "ortho", "distributive", "boolean")
+class _Context:
+    """What the suites of one ``check_poset`` call share, each object
+    built the first time a suite reads it: the dual space, the morphism
+    dual and the lattice ideal and filter families filtered from it."""
+
+    def __init__(self, poset: Poset, sweep_cap: int, dual_cap: int):
+        self.poset = poset
+        self.sweep_cap = sweep_cap
+        self.dual_cap = dual_cap
+
+    @cached_property
+    def star(self) -> Subspace:
+        return dual_space(self.poset, self.dual_cap)
+
+    @cached_property
+    def morph(self) -> Subspace:
+        return _lattice_dual(self.star)
+
+    @cached_property
+    def families(self):
+        return _lattice_families(self.star) if self.poset.n <= 16 else (None, None)
+
+
+# Each suite yields (name, passed, witness) for the checks that apply.
+
+
+def _general(ctx: _Context):
+    poset, star = ctx.poset, ctx.star
+    rep, _, ideal_pairs, filter_pairs = _read(poset, star)
+    # a false consistent flag already breaks the isomorphism, so the flag
+    # cannot fail this check alone; it stays to guard the report's own
+    # isomorphism computation
+    flags = None if rep.isomorphism else {"flags": rep.to_json()["flags"]}
+    yield "dual-representation", rep.isomorphism and rep.consistent, flags
+    ok = rep.full and rep.separating
+    yield "dual-full-separating", ok, None if ok else rep.witnesses
+
+    ideals_ok = {i for i, _ in ideal_pairs} == {poset.full ^ s for s in star.points}
+    filters_ok = {f for f, _ in filter_pairs} == set(star.points)
+    ok = ideals_ok and filters_ok
+    witness = {"ideals": ideals_ok, "filters": filters_ok}
+    yield "ideals-are-downsets", ok, None if ok else witness
+
+    # a pair of its own: on the report's, whose closed families are
+    # built, the check ran slower
+    c1, c2 = induced_closures(star)
+    ok, x = _closure_formula_agrees(star, c1, c2, _subset_sample(star.size))
+    yield "closure-equations", ok, None if ok else {"subset": sorted(bits(x))}
+
+    downs, ups = _cones(star)
+    n = range(poset.n)
+    hyp = not any(downs[p] & ups[q] for p in n for q in n if not poset.leq(q, p))
+    witness = {"separating": rep.separating, "cones_disjoint": hyp, "full": rep.full}
+    yield "separating-cone-fullness", not (rep.separating and hyp) or rep.full, witness
+
+    if poset.is_bounded():
+        rep = representation_report(poset, remove_constants(star))
+        ok = rep.full and rep.separating and rep.isomorphism
+        yield "constant-removal", ok, None if ok else rep.witnesses
+
+
+def _ortho(ctx: _Context):
+    poset = ctx.poset
+    if not poset.is_bounded():
+        return
+    # the dual space first, so that its cap is the one named when the
+    # search's node cap is exceeded too
+    star = ctx.star
+    orthos = find_orthocomplementations(poset)
+    duals = [_orthodual(star, f) for f in orthos]
+    for k, (f, space) in enumerate(zip(orthos, duals)):
+        laws = _ortho_laws(poset, f, representation_report(poset, space))
+        ok = all(laws.values())
+        yield f"ortho-representation-{k}", ok, None if ok else laws
+    if star.size <= ctx.sweep_cap:
+        ok, detail = _correspondence(star, orthos, duals, ctx.sweep_cap)
+        yield "ortho-correspondence", ok, detail
+
+
+def _distributive(ctx: _Context):
+    poset = ctx.poset
+    if not poset.is_lattice():
+        return
+    is_dist = poset.is_distributive()
+    rep, _, ideal_pairs, filter_pairs = _read(poset, ctx.morph)
+    ok = rep.full and rep.separating
+    witness = {"distributive": is_dist, "full_separating": ok}
+    yield "distributive-iff-full-separating", is_dist == ok, witness
+    if not is_dist:
+        return
+    ideals, filters = ctx.families
+    if ideals is not None:
+        ok = {i for i, _ in ideal_pairs} == set(ideals)
+        ok = ok and {f for f, _ in filter_pairs} == set(filters)
+        yield "lattice-ideals-coincide", ok, None
+    ok = all(_distributive_laws(rep).values())
+    flags = None if ok else {"flags": rep.to_json()["flags"]}
+    yield "distributive-representation", ok, flags
+
+
+def _boolean(ctx: _Context):
+    poset = ctx.poset
+    if not poset.is_distributive():
+        return
+    is_bool = poset.is_boolean()
+    rep, closures = _read(poset, remove_constants(ctx.morph))[:2]
+    coincide = rep.closures_coincide
+    witness = {"boolean": is_bool, "closures_coincide": coincide}
+    yield "boolean-iff-coincident-closures", is_bool == coincide, witness
+    if not is_bool:
+        return
+    space, laws = _stone(rep, closures)
+    atoms = bin(poset.covers[poset.bottom]).count("1")
+    # each kernel is a proper lattice ideal inside no other one
+    ideals = ctx.families[0]
+    proper = () if ideals is None else [d for d in ideals if d != poset.full]
+    kernels_ok = ideals is None or all(
+        ker in proper and not any(ker != d and ker & ~d == 0 for d in proper)
+        for ker in space.kernels
+    )
+    laws_ok = all(laws.values())
+    points, clopen = space.subspace.size, len(space.clopen)
+    ok = laws_ok and kernels_ok and points == atoms and clopen == poset.n
+    witness = {
+        "points": points,
+        "atoms": atoms,
+        "clopen": clopen,
+        "kernels_maximal_ideals": kernels_ok,
+    }
+    if not laws_ok:
+        witness["laws"] = laws
+    yield "stone-representation", ok, witness
+
+
+_SUITE_CHECKS = dict(
+    general=_general, ortho=_ortho, distributive=_distributive, boolean=_boolean
+)
+SUITES = ("all", *_SUITE_CHECKS)
+
+# every check's statement, in the order the "all" suite first emits each
+# name; ortho-representation-k reads the ortho-representation entry
+_STATEMENTS = {
+    "dual-representation": "the point-image map is an order isomorphism onto "
+    "the closed-open family of the full dual space",
+    "dual-full-separating": "the full dual space is full and separating",
+    "ideals-are-downsets": "ideals relative to the full dual space are exactly "
+    "the down-sets and filters exactly the up-sets",
+    "closure-equations": "the base-generated closures agree with the filter- "
+    "and ideal-driven intersection formulas",
+    "separating-cone-fullness": "a separating subspace with disjoint generated "
+    "cones over every non-related pair is full",
+    "constant-removal": "dropping the two constant points keeps the dual full, "
+    "separating, and representing",
+    "ortho-representation": "the orthodual carries one closure whose clopen "
+    "family recovers the poset, complementation becoming set complement and "
+    "generated cones the order cones",
+    "ortho-correspondence": "orthocomplementations correspond bijectively to "
+    "maximal full separating subspaces with coinciding closures",
+    "distributive-iff-full-separating": "the lattice is distributive exactly "
+    "when its morphism dual is full and separating",
+    "lattice-ideals-coincide": "ideals relative to the morphism dual are exactly "
+    "the lattice ideals, filters the lattice filters",
+    "distributive-representation": "both closures on the morphism dual are "
+    "topological and its closed-open family recovers the lattice",
+    "boolean-iff-coincident-closures": "the lattice is Boolean exactly when the "
+    "two closures on its constant-free morphism dual coincide",
+    "stone-representation": "the constant-free morphism dual has one point per "
+    "atom, its clopen algebra matches the lattice, and every kernel is a "
+    "maximal lattice ideal",
+}
 
 
 def _check_suite(suite: str) -> None:
@@ -668,211 +834,13 @@ def check_poset(
     so the suite runs on any poset and simply skips what does not apply.
     """
     _check_suite(suite)
-    checks = []
-    bounded = poset.is_bounded()
-    is_dist = poset.is_distributive()
-    want_dist = suite in ("all", "distributive") and poset.is_lattice()
-    want_bool = suite in ("all", "boolean") and is_dist
-    # the general, bounded ortho and lattice checks read the one dual space,
-    # and the morphism dual and the lattice families are filtered from it
-    wants_star = suite in ("all", "general") or suite == "ortho" and bounded
-    star = dual_space(poset, dual_cap) if wants_star or want_dist or want_bool else None
-
-    if suite in ("all", "general"):
-        rep, _, ideal_pairs, filter_pairs = _read(poset, star)
-        checks.append(
-            CheckResult(
-                "dual-representation",
-                "the point-image map is an order isomorphism onto the "
-                "closed-open family of the full dual space",
-                rep.isomorphism and rep.consistent,
-                {"flags": rep.to_json()["flags"]} if not rep.isomorphism else None,
-            )
-        )
-        checks.append(
-            CheckResult(
-                "dual-full-separating",
-                "the full dual space is full and separating",
-                rep.full and rep.separating,
-                None if rep.full and rep.separating else rep.witnesses,
-            )
-        )
-
-        downsets = {poset.full ^ s for s in star.points}
-        ideals_ok = {i for i, _ in ideal_pairs} == downsets
-        filters_ok = {f for f, _ in filter_pairs} == set(star.points)
-        checks.append(
-            CheckResult(
-                "ideals-are-downsets",
-                "ideals relative to the full dual space are exactly the "
-                "down-sets and filters exactly the up-sets",
-                ideals_ok and filters_ok,
-                None if ideals_ok and filters_ok else {"ideals": ideals_ok, "filters": filters_ok},
-            )
-        )
-
-        # a pair of its own: on the report's, whose closed families are
-        # built, the check ran slower
-        c1, c2 = induced_closures(star)
-        eq_ok, eq_wit = _closure_formula_agrees(
-            star, c1, c2, _subset_sample(star.size)
-        )
-        checks.append(
-            CheckResult(
-                "closure-equations",
-                "the base-generated closures agree with the filter- and "
-                "ideal-driven intersection formulas",
-                eq_ok,
-                None if eq_ok else {"subset": sorted(bits(eq_wit))},
-            )
-        )
-
-        downs, ups = _cones(star)
-        hyp = not any(
-            downs[p] & ups[q]
-            for p in range(poset.n)
-            for q in range(poset.n)
-            if not poset.leq(q, p)
-        )
-        checks.append(
-            CheckResult(
-                "separating-cone-fullness",
-                "a separating subspace with disjoint generated cones over "
-                "every non-related pair is full",
-                (not (rep.separating and hyp)) or rep.full,
-                {"separating": rep.separating, "cones_disjoint": hyp, "full": rep.full},
-            )
-        )
-
-        if bounded:
-            trimmed = remove_constants(star)
-            rep2 = representation_report(poset, trimmed)
-            ok = rep2.full and rep2.separating and rep2.isomorphism
-            checks.append(
-                CheckResult(
-                    "constant-removal",
-                    "dropping the two constant points keeps the dual full, "
-                    "separating, and representing",
-                    ok,
-                    None if ok else rep2.witnesses,
-                )
-            )
-
-    if suite in ("all", "ortho") and bounded:
-        orthos = find_orthocomplementations(poset)
-        duals = [_orthodual(star, f) for f in orthos]
-        for k, (f, space) in enumerate(zip(orthos, duals)):
-            rep3 = representation_report(poset, space)
-            laws = _ortho_laws(poset, f, rep3)
-            ok = all(laws.values())
-            checks.append(
-                CheckResult(
-                    f"ortho-representation-{k}",
-                    "the orthodual carries one closure whose clopen family "
-                    "recovers the poset, complementation becoming set "
-                    "complement and generated cones the order cones",
-                    ok,
-                    None if ok else laws,
-                )
-            )
-        if star.size <= sweep_cap:
-            ok, detail = _correspondence(star, orthos, duals, sweep_cap)
-            checks.append(
-                CheckResult(
-                    "ortho-correspondence",
-                    "orthocomplementations correspond bijectively to maximal "
-                    "full separating subspaces with coinciding closures",
-                    ok,
-                    detail,
-                )
-            )
-
-    morph = _lattice_dual(star) if want_dist or want_bool else None
-    is_bool = want_bool and poset.is_boolean()
-    # one pair of families serves the distributive and Stone checks
-    need_families = (want_dist and is_dist or is_bool) and poset.n <= 16
-    ideals, filters = _lattice_families(star) if need_families else (None, None)
-
-    if want_dist:
-        repd, _, ideal_pairs, filter_pairs = _read(poset, morph)
-        fullsep = repd.full and repd.separating
-        checks.append(
-            CheckResult(
-                "distributive-iff-full-separating",
-                "the lattice is distributive exactly when its morphism dual "
-                "is full and separating",
-                is_dist == fullsep,
-                {"distributive": is_dist, "full_separating": fullsep},
-            )
-        )
-        if is_dist and poset.n <= 16:
-            ok = {i for i, _ in ideal_pairs} == set(ideals)
-            ok = ok and {f for f, _ in filter_pairs} == set(filters)
-            checks.append(
-                CheckResult(
-                    "lattice-ideals-coincide",
-                    "ideals relative to the morphism dual are exactly the "
-                    "lattice ideals, filters the lattice filters",
-                    ok,
-                    None,
-                )
-            )
-        if is_dist:
-            ok = all(_distributive_laws(repd).values())
-            checks.append(
-                CheckResult(
-                    "distributive-representation",
-                    "both closures on the morphism dual are topological and "
-                    "its closed-open family recovers the lattice",
-                    ok,
-                    None if ok else {"flags": repd.to_json()["flags"]},
-                )
-            )
-
-    if want_bool:
-        rept, closures = _read(poset, remove_constants(morph))[:2]
-        coincide = rept.closures_coincide
-        checks.append(
-            CheckResult(
-                "boolean-iff-coincident-closures",
-                "the lattice is Boolean exactly when the two closures on its "
-                "constant-free morphism dual coincide",
-                is_bool == coincide,
-                {"boolean": is_bool, "closures_coincide": coincide},
-            )
-        )
-        if is_bool:
-            space, laws = _stone(rept, closures)
-            atoms = bin(poset.covers[poset.bottom]).count("1")
-            # each kernel is a proper lattice ideal inside no other one
-            proper = () if ideals is None else [d for d in ideals if d != poset.full]
-            kernels_ok = ideals is None or all(
-                ker in proper and not any(ker != d and ker & ~d == 0 for d in proper)
-                for ker in space.kernels
-            )
-            laws_ok = all(laws.values())
-            point_count_ok = space.subspace.size == atoms
-            clopen_ok = len(space.clopen) == poset.n
-            ok = laws_ok and kernels_ok and point_count_ok and clopen_ok
-            witness = {
-                "points": space.subspace.size,
-                "atoms": atoms,
-                "clopen": len(space.clopen),
-                "kernels_maximal_ideals": kernels_ok,
-            }
-            if not laws_ok:
-                witness["laws"] = laws
-            checks.append(
-                CheckResult(
-                    "stone-representation",
-                    "the constant-free morphism dual has one point per atom, "
-                    "its clopen algebra matches the lattice, and every kernel "
-                    "is a maximal lattice ideal",
-                    ok,
-                    witness,
-                )
-            )
-
+    ctx = _Context(poset, sweep_cap, dual_cap)
+    checks = [
+        CheckResult(name, _STATEMENTS[name.rstrip("-0123456789")], passed, witness)
+        for group, run in _SUITE_CHECKS.items()
+        if suite in ("all", group)
+        for name, passed, witness in run(ctx)
+    ]
     return SuiteReport(poset, tuple(checks))
 
 

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import os
 import random
@@ -545,6 +546,43 @@ def test_general_suite_skips_lattice_checks(m3):
     names = {c.name for c in check_poset(m3, suite="general").checks}
     assert "distributive-iff-full-separating" not in names
     assert "dual-representation" in names
+
+
+def test_check_bytes_are_pinned_per_suite(m3, m4):
+    # every suite's report on five posets, and the dual cap's message,
+    # byte for byte; the digest was taken before the suites were split
+    # into one generator each
+    digest = hashlib.sha256()
+    for poset in (boolean_algebra(3), m3, m4, chain(5), antichain(3)):
+        cap = 18 if poset is m4 else SWEEP_CAP
+        for suite in SUITES:
+            report = check_poset(poset, suite=suite, sweep_cap=cap)
+            digest.update(json.dumps(report.to_json(), sort_keys=True).encode())
+    with pytest.raises(BoundExceeded) as exc:
+        check_poset(boolean_algebra(3), dual_cap=10)
+    digest.update(str(exc.value).encode())
+    assert digest.hexdigest() == (
+        "fc865d8f8f55119aa534a10f4bd8c05adca6f3017e754b7f63a40ab945c6d302"
+    )
+
+
+def test_statement_table_has_no_dead_entry(m3, m4):
+    # each emitted name reads its statement from the table, in table
+    # order, and these three posets reach every entry
+    order = list(represent_module._STATEMENTS)
+    reached = set()
+    for poset in (m4, boolean_algebra(3), m3):
+        cap = 18 if poset is m4 else SWEEP_CAP
+        checks = check_poset(poset, sweep_cap=cap).checks
+        keys = [c.name.rstrip("-0123456789") for c in checks]
+        assert [c.statement for c in checks] == [
+            represent_module._STATEMENTS[k] for k in keys
+        ]
+        places = [order.index(k) for k in keys]
+        assert places == sorted(places), poset
+        reached.update(keys)
+    assert reached == set(order)
+    assert len(order) == 13
 
 
 def test_unknown_suite_is_rejected(b4):
