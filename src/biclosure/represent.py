@@ -700,9 +700,9 @@ def _general(ctx: _Context):
     yield "separating-cone-fullness", not (rep.separating and hyp) or rep.full, witness
 
     if poset.is_bounded():
-        rep = representation_report(poset, remove_constants(star))
-        ok = rep.full and rep.separating and rep.isomorphism
-        yield "constant-removal", ok, None if ok else rep.witnesses
+        rep2 = representation_report(poset, remove_constants(star))
+        ok = rep2.full and rep2.separating and rep2.isomorphism
+        yield "constant-removal", ok, None if ok else rep2.witnesses
 
 
 def _ortho(ctx: _Context):
@@ -729,9 +729,9 @@ def _distributive(ctx: _Context):
         return
     is_dist = poset.is_distributive()
     rep, _, ideal_pairs, filter_pairs = _read(poset, ctx.morph)
-    ok = rep.full and rep.separating
-    witness = {"distributive": is_dist, "full_separating": ok}
-    yield "distributive-iff-full-separating", is_dist == ok, witness
+    fullsep = rep.full and rep.separating
+    witness = {"distributive": is_dist, "full_separating": fullsep}
+    yield "distributive-iff-full-separating", is_dist == fullsep, witness
     if not is_dist:
         return
     ideals, filters = ctx.families
