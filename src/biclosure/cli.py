@@ -30,13 +30,13 @@ from .poset import (
 from .represent import (
     SUITES,
     SWEEP_CAP,
+    _catalog_reports,
     _correspondence,
     check_poset,
     represent_distributive,
     represent_general,
     represent_orthoposet,
     stone,
-    sweep_catalog,
 )
 
 
@@ -56,12 +56,17 @@ def _load_poset(arg: str) -> Poset:
     return poset_from_json(data)
 
 
-def _emit_text(text: str, out_path) -> None:
+def _emit_pieces(pieces, out_path) -> None:
+    """Write each string of ``pieces`` in turn; they are never joined."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
+
+
+def _emit_text(text: str, out_path) -> None:
+    _emit_pieces((text,), out_path)
 
 
 def _emit_json(payload, out_path) -> None:
@@ -186,18 +191,32 @@ def _cmd_check(args) -> int:
     return 0 if report.all_passed else 1
 
 
+def _encode_report(report) -> tuple:
+    """A class's pass flag and its report's text, indented to its depth
+    in the catalog's list (JSON strings hold no raw newline)."""
+    text = json.dumps(report.to_json(), indent=2, sort_keys=True)
+    return report.all_passed, text.replace("\n", "\n    ")
+
+
 def _cmd_catalog(args) -> int:
-    reports = sweep_catalog(args.max_n, suite=args.suite, sweep_cap=args.s_cap)
-    failed = [r for r in reports if not r.all_passed]
-    payload = {
-        "max_n": args.max_n,
-        "suite": args.suite,
-        "classes": len(reports),
-        "all_passed": not failed,
-        "reports": [r.to_json() for r in reports],
-    }
-    _emit_json(payload, args.out)
-    return 0 if not failed else 1
+    # map drops each report once it is encoded, before the next class is
+    # checked. "all_passed" sorts before "reports", so the texts are held
+    # to the end of the sweep, then written as the pieces that
+    # json.dumps(payload, indent=2, sort_keys=True) + "\n" would join.
+    reports = _catalog_reports(args.max_n, args.suite, args.s_cap)
+    encoded = list(map(_encode_report, reports))
+    passed = all(ok for ok, _ in encoded)
+    pieces = [
+        f'{{\n  "all_passed": {json.dumps(passed)},\n'
+        f'  "classes": {len(encoded)},\n'
+        f'  "max_n": {args.max_n},\n'
+        '  "reports": ['
+    ]
+    for k, (_, text) in enumerate(encoded):
+        pieces += (",\n    " if k else "\n    ", text)
+    pieces.append(f'\n  ],\n  "suite": {json.dumps(args.suite)}\n}}\n')
+    _emit_pieces(pieces, args.out)
+    return 0 if passed else 1
 
 
 def _cmd_export_dot(args) -> int:

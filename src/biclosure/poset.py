@@ -151,7 +151,12 @@ class Poset:
         )
 
     def is_distributive(self) -> bool:
-        """Direct check of meet-over-join on every triple, O(n^3)."""
+        """Meet over join on every triple, checked once per poset."""
+        return self._distributive
+
+    @cached_property
+    def _distributive(self) -> bool:
+        """The direct O(n^3) check behind is_distributive."""
         if not self.is_lattice():
             return False
         mt, jt = self._meet_table, self._join_table

@@ -862,6 +862,12 @@ def sweep_catalog(max_n: int, suite: str = "all", sweep_cap: int = SWEEP_CAP) ->
     BICLOSURE_THREADS, at most one per CPU and per poset; results are in
     deterministic catalog order either way.
     """
+    return list(_catalog_reports(max_n, suite, sweep_cap))
+
+
+def _catalog_reports(max_n: int, suite: str, sweep_cap: int):
+    """Yield each class's report in catalog order, serial or pooled, so
+    that a consumer can hold one class's report at a time."""
     if max_n > MAX_CATALOG_N:
         raise BoundExceeded(
             f"poset catalog for n={max_n} exceeds the configured bound "
@@ -875,6 +881,8 @@ def sweep_catalog(max_n: int, suite: str = "all", sweep_cap: int = SWEEP_CAP) ->
         # imported here so a serial run never loads the pool (and logging)
         import concurrent.futures
 
+        # Executor.map yields in submission order
         with concurrent.futures.ProcessPoolExecutor(max_workers=count) as pool:
-            return list(pool.map(job, posets))
-    return [job(p) for p in posets]
+            yield from pool.map(job, posets)
+    else:
+        yield from map(job, posets)

@@ -3,12 +3,16 @@ import json
 import os
 import subprocess
 import sys
+import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from biclosure import boolean_algebra, poset_to_json
+import biclosure.represent as represent_module
+from biclosure import boolean_algebra, poset_to_json, sweep_catalog
 from biclosure.cli import main
+from biclosure.represent import SUITES, SuiteReport
 
 B4 = json.dumps(
     {
@@ -185,6 +189,87 @@ def test_catalog_over_bound_exits_three(capsys):
     code, _, err = run(capsys, "catalog", "--max-n", "9")
     assert code == 3
     assert "bound" in err
+
+
+def old_catalog_bytes(max_n, suite):
+    """The catalog as it was written before the per-class encoder: one
+    payload dumped whole. It is the reference for the hand-built framing."""
+    reports = sweep_catalog(max_n, suite=suite)
+    payload = {
+        "max_n": max_n,
+        "suite": suite,
+        "classes": len(reports),
+        "all_passed": all(r.all_passed for r in reports),
+        "reports": [r.to_json() for r in reports],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_catalog_framing_matches_the_whole_payload_dump(capsys, tmp_path, suite):
+    for max_n in range(1, 5):
+        want = old_catalog_bytes(max_n, suite)
+        argv = ["catalog", "--max-n", str(max_n), "--suite", suite]
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (0, want), max_n
+        path = tmp_path / "catalog.json"
+        code, out, _ = run(capsys, *argv, "--out", str(path))
+        assert (code, out) == (0, "")
+        assert path.read_text(encoding="utf-8") == want, max_n
+
+
+def test_catalog_framing_matches_when_a_class_fails(capsys, tmp_path, monkeypatch):
+    original = represent_module.check_poset
+
+    def failing_chain(poset, **kwargs):
+        report = original(poset, **kwargs)
+        if poset.n == 3 and poset.is_lattice():
+            first = replace(report.checks[0], passed=False, witness={"forced": 1})
+            report = SuiteReport(poset, (first, *report.checks[1:]))
+        return report
+
+    monkeypatch.setattr(represent_module, "check_poset", failing_chain)
+    want = old_catalog_bytes(4, "all")
+    assert '"all_passed": false' in want
+    code, out, _ = run(capsys, "catalog", "--max-n", "4")
+    assert (code, out) == (1, want)
+    path = tmp_path / "catalog.json"
+    code, _, _ = run(capsys, "catalog", "--max-n", "4", "--out", str(path))
+    assert code == 1
+    assert path.read_text(encoding="utf-8") == want
+
+
+def test_catalog_encodes_each_class_before_checking_the_next(capsys, monkeypatch):
+    check, encode = represent_module.check_poset, SuiteReport.to_json
+    events, refs = [], []
+
+    def checked(poset, **kwargs):
+        # every report checked so far was encoded and then dropped
+        assert all(ref() is None for ref in refs), len(refs)
+        events.append("check")
+        report = check(poset, **kwargs)
+        refs.append(weakref.ref(report))
+        return report
+
+    def encoded(report):
+        events.append("encode")
+        return encode(report)
+
+    monkeypatch.setattr(represent_module, "check_poset", checked)
+    monkeypatch.setattr(SuiteReport, "to_json", encoded)
+    code, out, _ = run(capsys, "catalog", "--max-n", "4")
+    assert code == 0
+    assert json.loads(out)["classes"] == 24 == len(refs)
+    assert events == ["check", "encode"] * 24
+    assert all(ref() is None for ref in refs)
+
+
+def test_catalog_over_bound_writes_nothing(capsys, tmp_path):
+    path = tmp_path / "catalog.json"
+    for argv in ([], ["--out", str(path)]):
+        code, out, _ = run(capsys, "catalog", "--max-n", "9", *argv)
+        assert (code, out) == (3, "")
+    assert not path.exists()
 
 
 def test_dual_cap_exits_three(capsys):

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import random
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -685,6 +686,26 @@ def count_calls(monkeypatch, module, name, calls):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
+
+
+def test_check_poset_decides_distributivity_once(monkeypatch):
+    # the distributive and boolean suites and is_boolean each ask; the
+    # O(n^3) triple loop behind is_distributive answers once per poset
+    loop = Poset.__dict__["_distributive"].func
+    calls = []
+
+    def counted(poset):
+        calls.append(poset)
+        return loop(poset)
+
+    prop = cached_property(counted)
+    prop.__set_name__(Poset, "_distributive")
+    monkeypatch.setattr(Poset, "_distributive", prop)
+    poset = boolean_algebra(3)
+    report = check_poset(poset)
+    assert report.all_passed
+    assert any(c.name == "stone-representation" for c in report.checks)
+    assert calls == [poset]
 
 
 def test_check_poset_scans_orthocomplementations_once(monkeypatch):
