@@ -223,6 +223,7 @@ def test_catalog_framing_matches_when_a_class_fails(capsys, tmp_path, monkeypatc
 
     def failing_chain(poset, **kwargs):
         report = original(poset, **kwargs)
+        # the 3-chain is the one lattice on three elements
         if poset.n == 3 and poset.is_lattice():
             first = replace(report.checks[0], passed=False, witness={"forced": 1})
             report = SuiteReport(poset, (first, *report.checks[1:]))
