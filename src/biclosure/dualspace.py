@@ -44,7 +44,6 @@ class Subspace:
     """An indexed set of dual points of a base poset."""
 
     def __init__(self, poset: Poset, one_sets):
-        self.poset = poset
         seen = set()
         for s in one_sets:
             if s & ~poset.full:
@@ -53,7 +52,20 @@ class Subspace:
                 if poset.up[i] & ~s:
                     raise ValueError("one-set of a dual point must be an up-set")
             seen.add(s)
-        self.points = tuple(sorted(seen))
+        self._hold(poset, sorted(seen))
+
+    @classmethod
+    def _known(cls, poset: Poset, points) -> "Subspace":
+        """A subspace over ``points``, which the caller knows to be distinct
+        up-sets of ``poset`` in ascending order: dual points it already
+        holds, or the sorted output of ``_upsets``. Nothing is re-checked."""
+        space = cls.__new__(cls)
+        space._hold(poset, points)
+        return space
+
+    def _hold(self, poset: Poset, points) -> None:
+        self.poset = poset
+        self.points = tuple(points)
         self.size = len(self.points)
         self.all_mask = (1 << self.size) - 1
 
@@ -86,7 +98,7 @@ class Subspace:
     def restrict(self, index_mask: int) -> "Subspace":
         if index_mask & ~self.all_mask:
             raise MemberOutOfRange("point indices outside the subspace")
-        return Subspace(self.poset, (self.points[i] for i in bits(index_mask)))
+        return Subspace._known(self.poset, [self.points[i] for i in bits(index_mask)])
 
     def __iter__(self):
         return iter(self.points)
@@ -114,7 +126,7 @@ class Subspace:
 
 def dual_space(poset: Poset, cap: int = DUAL_POINT_CAP) -> Subspace:
     """Every dual point of P, i.e. one point per up-set of P."""
-    return Subspace(poset, _upsets(poset.up, cap))
+    return Subspace._known(poset, sorted(_upsets(poset.up, cap)))
 
 
 def orthodual_space(poset: Poset, ortho: OrthoMap, cap: int = DUAL_POINT_CAP) -> Subspace:
@@ -130,7 +142,8 @@ def _orthodual(star: Subspace, ortho: OrthoMap) -> Subspace:
     # the fold over s is the complement of f(s): s itself on the orthodual
     tables = and_tables([full ^ 1 << j for j in ortho.perm], full)
     folds = and_folds(tables, star.points)
-    return Subspace(star.poset, [s for s, c in zip(star.points, folds) if c == s])
+    keep = [s for s, c in zip(star.points, folds) if c == s]
+    return Subspace._known(star.poset, keep)
 
 
 def lattice_dual(poset: Poset, cap: int = DUAL_POINT_CAP) -> Subspace:
@@ -152,7 +165,8 @@ def _lattice_sides(poset: Poset):
 def _lattice_dual(star: Subspace) -> Subspace:
     """``lattice_dual`` filtered from the dual space ``star`` of a lattice."""
     meets, joins = _lattice_sides(star.poset)
-    return Subspace(star.poset, [s for s in star.points if meets(s) and joins(s)])
+    keep = [s for s in star.points if meets(s) and joins(s)]
+    return Subspace._known(star.poset, keep)
 
 
 def _lattice_families(star: Subspace):
@@ -315,4 +329,4 @@ def remove_constants(subspace: Subspace) -> Subspace:
     if not poset.is_bounded():
         raise NotBounded("constant removal requires a bounded base poset")
     keep = [s for s in subspace.points if s != 0 and s != poset.full]
-    return Subspace(poset, keep)
+    return Subspace._known(poset, keep)

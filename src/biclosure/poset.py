@@ -364,9 +364,6 @@ class OrthoMap:
     def __call__(self, i: int) -> int:
         return self.perm[i]
 
-    def image_mask(self, mask: int) -> int:
-        return mask_of(self.perm[i] for i in bits(mask))
-
     def to_json(self):
         return {self.poset.labels[i]: self.poset.labels[j] for i, j in enumerate(self.perm)}
 

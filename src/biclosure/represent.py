@@ -867,16 +867,26 @@ def sweep_catalog(max_n: int, suite: str = "all", sweep_cap: int = SWEEP_CAP) ->
 
 def _catalog_reports(max_n: int, suite: str, sweep_cap: int):
     """Yield each class's report in catalog order, serial or pooled, so
-    that a consumer can hold one class's report at a time."""
+    that a consumer can hold one class's report at a time.
+
+    The classes are enumerated one size at a time (all sizes first when
+    pooled, since the pool is sized by the class count), and each list
+    gives up its posets as they are checked, so a poset and the tables
+    its checks cached live only as long as its report.
+    """
     if max_n > MAX_CATALOG_N:
         raise BoundExceeded(
             f"poset catalog for n={max_n} exceeds the configured bound "
             f"{MAX_CATALOG_N}"
         )
     _check_suite(suite)
-    posets = [p for n in range(1, max_n + 1) for p in enumerate_posets(n)]
+    sizes = map(enumerate_posets, range(1, max_n + 1))
     job = partial(check_poset, suite=suite, sweep_cap=sweep_cap)
-    count = min(_worker_count(), len(posets), os.cpu_count() or 1)
+    count = min(_worker_count(), os.cpu_count() or 1)
+    if count > 1:
+        sizes = list(sizes)
+        count = min(count, sum(map(len, sizes)))
+    posets = (p for size in sizes for p in _drained(size))
     if count > 1:
         # imported here so a serial run never loads the pool (and logging)
         import concurrent.futures
@@ -886,3 +896,10 @@ def _catalog_reports(max_n: int, suite: str, sweep_cap: int):
             yield from pool.map(job, posets)
     else:
         yield from map(job, posets)
+
+
+def _drained(items: list):
+    """Yield the items of a list in order, removing each from the list."""
+    items.reverse()
+    while items:
+        yield items.pop()

@@ -352,6 +352,11 @@ def brute_orthocomplementations(poset):
     return found
 
 
+def image_mask(perm, mask):
+    """The image of the subset ``mask`` under the permutation ``perm``."""
+    return sum(1 << perm[i] for i in range(len(perm)) if mask >> i & 1)
+
+
 def brute_complements(poset):
     """Per element, the set of its complements under naive meets and
     joins; None when the poset has no bottom or no top."""

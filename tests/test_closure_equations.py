@@ -105,6 +105,94 @@ def test_and_folds_stops_once_the_batch_is_zero(xs, zero_after_first):
         assert any(want)
 
 
+# --- wide folds: blocks from both ends inward, read from each x's bytes ---------------
+
+
+@st.composite
+def wide_masks_and_subsets(draw):
+    """129 to 600 masks (17 to 75 tables, so the byte path) that clear few
+    bits each, and subsets from dense to a few points, some carrying bits
+    above the tables' last block."""
+    count = draw(st.integers(129, 600))
+    width = draw(st.integers(1, 24))
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    full = (1 << width) - 1
+    masks = [
+        full ^ rng.getrandbits(width) & rng.getrandbits(width) for _ in range(count)
+    ]
+    top = BLOCK * -(-count // BLOCK)
+    xs = []
+    for _ in range(draw(st.integers(1, 30))):
+        x = (1 << count) - 1
+        for _ in range(rng.randrange(10)):
+            x &= rng.getrandbits(count)
+        if rng.random() < 0.4:
+            x |= rng.getrandbits(70) << top
+        xs.append(x)
+    return masks, rng.getrandbits(width), xs
+
+
+@given(wide_masks_and_subsets())
+@settings(max_examples=60, deadline=None)
+def test_wide_fold_matches_naive_fold(case):
+    masks, seed, xs = case
+    tables = and_tables(masks, seed)
+    assert 17 <= len(tables) <= 75
+    low = (1 << len(masks)) - 1
+    want = [naive_fold(masks, seed, x & low) for x in xs]
+    # one batch of every x, one batch per x, and ranges as the
+    # exhaustive check passes them, one of them above the last block
+    assert and_folds(tables, xs) == want
+    assert [and_folds(tables, [x])[0] for x in xs] == want
+    base = xs[0] >> BLOCK << BLOCK
+    for span in (range(base, base + 256), range(300)):
+        want = [naive_fold(masks, seed, x & low) for x in span]
+        assert and_folds(tables, span) == want
+
+
+class _Logged:
+    """A table that records its block index the first time it is read."""
+
+    def __init__(self, table, j, log):
+        self.table, self.j, self.log = table, j, log
+
+    def __getitem__(self, index):
+        if self.j not in self.log:
+            self.log.append(self.j)
+        return self.table[index]
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 16, 17, 20])
+def test_and_folds_reads_blocks_from_both_ends_inward(width):
+    masks = [0b11] * (BLOCK * width)
+    tables = and_tables(masks, 0b11)
+    log = []
+    logged = [_Logged(t, j, log) for j, t in enumerate(tables)]
+    xs = [(1 << BLOCK * width) - 1, 1, 0]
+    assert and_folds(logged, xs) == [0b11] * 3
+    want, lo, hi = [], 0, width - 1
+    while lo <= hi:
+        want += [lo, hi] if lo < hi else [lo]
+        lo, hi = lo + 1, hi - 1
+    assert log == want
+
+
+@pytest.mark.parametrize("width", [3, 20])
+def test_and_folds_stops_after_the_first_and_last_blocks(width):
+    # block 0 clears bit 1 and the last block bit 0; the middle clears nothing
+    masks = [0b01] * BLOCK + [0b11] * (BLOCK * (width - 2)) + [0b10] * BLOCK
+    tables = and_tables(masks, 0b11)
+    last = 1 << BLOCK * (width - 1)
+    xs = [1 | last, 0b10 | last << 3, 0xFF | last << 7]
+    want = [naive_fold(masks, 0b11, x) for x in xs]
+    assert want == [0] * len(xs)
+    middle = [_Unread()] * (width - 2)
+    assert and_folds([tables[0], *middle, tables[-1]], xs) == want
+    # a subset that misses the last block leaves a nonzero value, so the
+    # middle blocks are read
+    assert and_folds(tables, xs + [1]) == want + [0b01]
+
+
 # --- the packed one-set/kernel table --------------------------------------------------
 
 

@@ -31,7 +31,14 @@ from biclosure import (
     remove_constants,
 )
 from biclosure.bitops import bits, mask_of
-from biclosure.dualspace import _galois_pairs, _orthodual, _separates
+from biclosure.dualspace import (
+    DUAL_POINT_CAP,
+    _galois_pairs,
+    _lattice_dual,
+    _orthodual,
+    _separates,
+)
+from biclosure.poset import _upsets
 
 import oracles
 
@@ -104,6 +111,42 @@ def test_restrict_keeps_selected_points(b4):
     star = dual_space(b4)
     sub = star.restrict(0b101)
     assert sub.points == (star.points[0], star.points[2])
+
+
+def _assert_as_validated(space):
+    """A subspace built from known points equals the one the validating
+    constructor builds from the same one-sets."""
+    checked = Subspace(space.poset, space.points)
+    assert space == checked
+    assert (space.size, space.all_mask) == (checked.size, checked.all_mask)
+
+
+@given(st.sampled_from(catalog_upto5), st.data())
+@settings(max_examples=120, deadline=None)
+def test_known_point_paths_match_the_validating_constructor(poset, data):
+    star = dual_space(poset)
+    assert star.points == Subspace(poset, _upsets(poset.up, DUAL_POINT_CAP)).points
+    _assert_as_validated(star)
+    mask = data.draw(st.integers(0, star.all_mask))
+    sub = star.restrict(mask)
+    assert sub.points == Subspace(poset, [star.points[i] for i in bits(mask)]).points
+    _assert_as_validated(sub)
+    _assert_as_validated(sub.restrict(data.draw(st.integers(0, sub.all_mask))))
+    if poset.is_bounded():
+        _assert_as_validated(remove_constants(star))
+        _assert_as_validated(remove_constants(sub))
+        for f in find_orthocomplementations(poset):
+            _assert_as_validated(_orthodual(star, f))
+    if poset.is_lattice():
+        _assert_as_validated(_lattice_dual(star))
+    # the public constructor still rejects what is not a dual point
+    one_set = data.draw(st.integers(0, (1 << poset.n + 1) - 1))
+    upsets = oracles.brute_upsets(poset.n, oracles.leq_fn(poset))
+    if frozenset(bits(one_set)) in upsets:
+        assert Subspace(poset, [one_set]).points == (one_set,)
+    else:
+        with pytest.raises(ValueError):
+            Subspace(poset, [0, one_set])
 
 
 # --- ideals and filters -------------------------------------------------------------
@@ -420,7 +463,9 @@ def test_orthodual_filter_matches_the_image_mask_filter():
     for p in bounded + bundles:
         star = dual_space(p)
         for f in find_orthocomplementations(p):
-            want = [s for s in star.points if f.image_mask(s) == p.full ^ s]
+            want = [
+                s for s in star.points if oracles.image_mask(f.perm, s) == p.full ^ s
+            ]
             assert _orthodual(star, f).points == tuple(want)
             maps += 1
     assert maps == 7 + 3 + 15 + 105
