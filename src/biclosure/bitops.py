@@ -59,29 +59,33 @@ def and_folds(tables: list, xs) -> list:
     """For each x in xs, the AND of the seed and the masks indexed by the
     set bits of x: one list comprehension per block over the whole batch.
 
-    ``tables`` comes from ``and_tables`` (so it has at least one table).
-    Only the low ``BLOCK * len(tables)`` bits of each x are read; bits
-    above them are ignored. Blocks are read from both ends inward (block
-    0, the last, block 1, the second-to-last, ...), and once every value
-    in the batch is 0 the remaining blocks are skipped, since an AND keeps
-    a zero at zero: over points in ascending mask order the low blocks
-    hold the points with small one-sets and the high blocks those with
-    small kernels, so a fold that cuts both reaches zero from both ends.
-    Above ``_WIDE`` tables each x is read as bytes once, and block j is
-    the strided slice j, j + width, ... of the batch's joined bytes,
-    instead of one shift of every x per block.
+    ``tables`` comes from ``and_tables`` (so it has at least one table,
+    and entry 0 of each is the seed). Only the low ``BLOCK * len(tables)``
+    bits of each x are read; bits above them are ignored. Blocks are read
+    from both ends inward (block 0, the last, block 1, the second-to-last,
+    ...), and once every value in the batch is 0 the remaining blocks are
+    skipped, since an AND keeps a zero at zero: over points in ascending
+    mask order the low blocks hold the points with small one-sets and the
+    high blocks those with small kernels, so a fold that cuts both
+    reaches zero from both ends.
+
+    Above ``_WIDE`` tables each x is read as bytes once, instead of one
+    shift of every x per block, and blocks j and width - 1 - j are folded
+    together from strided slices of the batch's joined bytes, so the
+    zero test falls after each such pair.
     """
     width = len(tables)
     if width > _WIDE:
         keep = (1 << BLOCK * width) - 1
         flat = b"".join([(x & keep).to_bytes(width, "little") for x in xs])
-        first = tables[0]
-        out = [first[b] for b in flat[::width]]
-        for j in _outside_in(width):
+        out = [tables[0][0]] * (len(flat) // width)
+        # an odd count's middle block pairs with itself: t[b] & t[b] is t[b]
+        for j in range((width + 1) // 2):
             if not any(out):
                 break
-            t = tables[j]
-            out = [o & t[b] for o, b in zip(out, flat[j::width])]
+            t, u = tables[j], tables[~j]
+            lows, highs = flat[j::width], flat[width - 1 - j :: width]
+            out = [o & t[a] & u[b] for o, a, b in zip(out, lows, highs)]
         return out
     first = tables[0]
     out = [first[x & _BLOCK_MASK] for x in xs]
