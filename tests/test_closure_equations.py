@@ -141,7 +141,7 @@ def test_wide_fold_matches_naive_fold(case):
     low = (1 << len(masks)) - 1
     want = [naive_fold(masks, seed, x & low) for x in xs]
     # one batch of every x, one batch per x, and ranges as the
-    # exhaustive check passes them, one of them above the last block
+    # exhaustive check passes them, one over xs[0]'s upper bits
     assert and_folds(tables, xs) == want
     assert [and_folds(tables, [x])[0] for x in xs] == want
     base = xs[0] >> BLOCK << BLOCK
