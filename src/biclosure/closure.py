@@ -16,6 +16,10 @@ each closed set is recorded with the mask of the generators that hold
 it: extent and intent, in formal concept terms. On an induced closure
 generator p comes from element p, so that mask is the closed set's
 A-filter or A-ideal cut, and no second pass over the family takes it.
+
+That dict is the one container of closed sets per closure: the
+closed-open family, equality and the topological test all read it. The
+sorted ``closed_family`` is built from it only when something reads it.
 """
 
 from __future__ import annotations
@@ -29,9 +33,11 @@ from .poset import SubsetFamily
 class ClosureOperator:
     """Closure on {0..m-1} whose closed sets are intersections of a base.
 
-    The closed family is built on first use, each closed set together
-    with the mask of the generators (bit i for the i-th, in the order
-    given) that hold it; ``apply`` needs only the base.
+    The closed sets are built on first use, each together with the mask
+    of the generators (bit i for the i-th, in the order given) that hold
+    it, in one dict that every family question reads; the sorted
+    ``closed_family`` is built from that dict only when read. ``apply``
+    needs only the base.
     """
 
     def __init__(self, m: int, base):
@@ -95,8 +101,8 @@ class ClosureOperator:
         unions of closures are closed one way, and a union-closed family
         makes apply(X) | apply(Y) the smallest closed set over X | Y.
         """
-        members = self.closed_family.members
-        family = set(members)
+        family = self._intents
+        members = tuple(family)
         return all(
             (a | b) in family
             for i, a in enumerate(members)
@@ -107,7 +113,7 @@ class ClosureOperator:
         return (
             isinstance(other, ClosureOperator)
             and self.m == other.m
-            and self.closed_family == other.closed_family
+            and self._intents.keys() == other._intents.keys()
         )
 
     def __hash__(self):
@@ -127,11 +133,9 @@ def closed_open_family(c1: ClosureOperator, c2: ClosureOperator) -> SubsetFamily
     under the second."""
     if c1.m != c2.m:
         raise CarrierMismatch("operators live on different carriers")
-    closed2 = set(c2.closed_family.members)
-    return SubsetFamily(
-        c1.m,
-        (x for x in c1.closed_family if (c1.full ^ x) in closed2),
-    )
+    full = c1.full
+    closed2 = c2._intents
+    return SubsetFamily(c1.m, (x for x in c1._intents if (full ^ x) in closed2))
 
 
 def induced_closures(subspace) -> tuple:

@@ -137,6 +137,56 @@ def test_closed_open_family_needs_matching_carriers():
         closed_open_family(ClosureOperator(2, []), ClosureOperator(3, []))
 
 
+@st.composite
+def carriers_with_two_bases(draw, max_m=6, max_base=5):
+    """A carrier, a base, and a second base on the same carrier: either
+    the first one's generators shuffled, some repeated and some of their
+    pairwise intersections added (the same closed family by another
+    base), or a base drawn on its own."""
+    m, base = draw(carriers_with_bases(max_m, max_base))
+    if not base or draw(st.booleans()):
+        other = draw(
+            st.lists(st.integers(0, (1 << m) - 1), min_size=0, max_size=max_base)
+        )
+    else:
+        pick = st.sampled_from(base)
+        repeats = draw(st.lists(pick, max_size=3))
+        meets = [a & b for a, b in draw(st.lists(st.tuples(pick, pick), max_size=2))]
+        other = draw(st.permutations(base + repeats + meets))
+    return m, base, other
+
+
+def brute_family_masks(m, base):
+    sets = [set(bits(b)) for b in base]
+    return {mask_of(x) for x in oracles.brute_closed_family(m, sets)}
+
+
+@settings(max_examples=300)
+@given(carriers_with_two_bases())
+def test_family_readers_match_brute_families_before_the_sorted_family(mbb):
+    # the closed-open family, == and the topological test against
+    # families built by brute intersection, with closed_family never
+    # built beforehand; hash and closed_family are read only after
+    m, base, other = mbb
+    full = (1 << m) - 1
+    c1, c2 = ClosureOperator(m, base), ClosureOperator(m, other)
+    f1, f2 = brute_family_masks(m, base), brute_family_masks(m, other)
+    want = tuple(sorted(x for x in f1 if full ^ x in f2))
+    assert closed_open_family(c1, c2).members == want
+    assert closed_open_family(c2, c1).members == tuple(
+        sorted(x for x in f2 if full ^ x in f1)
+    )
+    assert clopen_sets(c1).members == tuple(sorted(x for x in f1 if full ^ x in f1))
+    assert (c1 == c2) == (c2 == c1) == (f1 == f2)
+    for c, f in ((c1, f1), (c2, f2)):
+        assert c.is_topological() == all((a | b) in f for a in f for b in f)
+        assert "closed_family" not in c.__dict__
+    if f1 == f2:
+        assert hash(c1) == hash(c2)
+    assert c1.closed_family.members == tuple(sorted(f1))
+    assert c2.closed_family.members == tuple(sorted(f2))
+
+
 def test_equality_is_by_closed_family():
     # different bases, same family
     a = ClosureOperator(3, [0b011, 0b110, 0b010])

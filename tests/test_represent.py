@@ -46,7 +46,7 @@ from biclosure import (
 )
 import biclosure.dualspace as dualspace_module
 import biclosure.represent as represent_module
-from biclosure.bitops import bits
+from biclosure.bitops import bits, mask_of
 from biclosure.dualspace import Hull, Subspace, _fullness_witnesses, _lattice_families
 from biclosure.poset import Poset, SubsetFamily
 from biclosure.represent import (
@@ -154,6 +154,41 @@ def test_order_flags_and_witnesses_match_the_oracle(catalog4, catalog5):
             assert report.order_reflecting == report.full
             witnesses = report.witnesses
             assert witnesses.get("order_reflecting") == witnesses.get("full")
+
+
+def brute_family_flags(sub, n):
+    """The closed-open family, closure coincidence and the two
+    topological flags of a subspace, from brute closed families of the
+    point images read off its one-sets."""
+    m = sub.size
+    ups = [{i for i, x in enumerate(sub.points) if x >> p & 1} for p in range(n)]
+    los = [set(range(m)) - up for up in ups]
+    f1, f2 = (
+        {mask_of(x) for x in oracles.brute_closed_family(m, images)}
+        for images in (ups, los)
+    )
+    full = (1 << m) - 1
+    family = tuple(sorted(x for x in f1 if full ^ x in f2))
+    topological = tuple(all((a | b) in f for a in f for b in f) for f in (f1, f2))
+    return family, f1 == f2, topological
+
+
+def test_report_families_match_brute_force_without_sorted_families(catalog4, catalog5):
+    # the full dual of every class with n <= 5 and six seeded subspaces
+    # of each; the report reads both closures' closed sets without
+    # building either sorted closed_family
+    rng = random.Random(0xFA111E5)
+    for p in catalog4 + catalog5:
+        star = dual_space(p)
+        subs = [star] + [star.restrict(rng.getrandbits(star.size)) for _ in range(6)]
+        for sub in subs:
+            report, closures, _, _ = represent_module._read(p, sub)
+            family, coincide, topological = brute_family_flags(sub, p.n)
+            assert report.family.members == family
+            assert report.closures_coincide == coincide
+            assert report.topological == topological
+            for c in closures:
+                assert "closed_family" not in c.__dict__
 
 
 def test_injectivity_is_decided_where_reflection_also_breaks():
