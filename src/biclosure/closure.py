@@ -18,13 +18,18 @@ generator p comes from element p, so that mask is the closed set's
 A-filter or A-ideal cut, and no second pass over the family takes it.
 
 That dict is the one container of closed sets per closure: the
-closed-open family, equality and the topological test all read it. The
-sorted ``closed_family`` is built from it only when something reads it.
+closed-open family, equality, hashing and the topological test read it,
+and the closure's concepts, its (intent, extent) pairs in mask order,
+are sorted from it. So an induced pair carries its own A-filters and
+A-ideals, each with the points it cuts, and the separation test and a
+report's readers take them from the pair. The sorted ``closed_family``
+and ``base`` are built only when read.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
 from .errors import CarrierMismatch, MemberOutOfRange
 from .poset import SubsetFamily
@@ -33,26 +38,20 @@ from .poset import SubsetFamily
 class ClosureOperator:
     """Closure on {0..m-1} whose closed sets are intersections of a base.
 
-    The closed sets are built on first use, each together with the mask
-    of the generators (bit i for the i-th, in the order given) that hold
-    it, in one dict that every family question reads; the sorted
-    ``closed_family`` is built from that dict only when read. ``apply``
-    needs only the base.
+    The generators are held once, in the order given, and ``apply``
+    reads only them; the closed sets with their intents (bit i for the
+    i-th generator), and all that is read off them, are built on first use.
     """
 
     def __init__(self, m: int, base):
-        if isinstance(base, SubsetFamily):
-            if base.m != m:
-                raise CarrierMismatch("base family lives on a different carrier")
-            self._generators = base.members
-        else:
-            self._generators = tuple(base)
-            base = SubsetFamily(m, self._generators)
+        if isinstance(base, SubsetFamily) and base.m != m:
+            raise CarrierMismatch("base family lives on a different carrier")
         self.m = m
         self.full = (1 << m) - 1
-        self.base = base
-        # held here so apply() skips a lookup through the base per call
-        self._members = base.members
+        self._generators = tuple(base)
+        if reduce(or_, self._generators, 0) & ~self.full:
+            x = min(b for b in self._generators if b & ~self.full)
+            raise MemberOutOfRange(f"member {x:#x} exceeds carrier of size {m}")
 
     @cached_property
     def _intents(self) -> dict:
@@ -74,6 +73,19 @@ class ClosureOperator:
         return family
 
     @cached_property
+    def _concepts(self) -> list:
+        """(intent, extent) over the nonempty closed sets, in mask order."""
+        intents = self._intents
+        pairs = sorted(zip(intents.values(), intents))
+        if not pairs[-1][1]:  # a closed empty set: every generator holds it
+            pairs.pop()
+        return pairs
+
+    @cached_property
+    def base(self) -> SubsetFamily:
+        return SubsetFamily(self.m, self._generators)
+
+    @cached_property
     def closed_family(self) -> SubsetFamily:
         return SubsetFamily(self.m, self._intents)
 
@@ -82,7 +94,7 @@ class ClosureOperator:
         if x & ~self.full:
             raise MemberOutOfRange("argument has bits outside the carrier")
         out = self.full
-        for b in self._members:
+        for b in self._generators:
             if x & b == x:
                 out &= b
         return out
@@ -117,7 +129,7 @@ class ClosureOperator:
         )
 
     def __hash__(self):
-        return hash((self.m, self.closed_family))
+        return hash((self.m, frozenset(self._intents)))
 
     def __repr__(self):
         return f"ClosureOperator(m={self.m}, base of {len(self.base)})"

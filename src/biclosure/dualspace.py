@@ -23,8 +23,9 @@ that is itself a point a of A is separated from every ideal it misses,
 by a, so the test indexes only the other filters: per element, the mask
 of those that miss it, ANDed over an ideal's elements, is the set of
 filters disjoint from that ideal, and only those meet the X-and-Y test.
-It hands back the (cut, X) lists of both families. One hull routine
-serves both sides: AND the images over the subset, then cut, no family.
+It reads both families off the concepts of the pair it is handed. One
+hull routine serves both sides: AND the images over the subset, then
+cut, no family.
 """
 
 from __future__ import annotations
@@ -198,33 +199,15 @@ def filter_of(subspace: Subspace, point_indices: int) -> int:
     return _cut(subspace, subspace.up_image, point_indices)
 
 
-def _galois_pairs(subspace: Subspace, closures, side: int) -> list:
-    """(filter_of(X), X) over the nonempty c1-closed X (side 0), or
-    (ideal_of(X), X) over the nonempty c2-closed X (side 1), in mask order.
-
-    ``closures`` must be the pair ``induced_closures(subspace)`` built,
-    as every caller hands it (``_read``, ``is_separating``, ``ideals_wrt``,
-    ``filters_wrt`` and ``induced_orthocomplementation``): generator p of
-    c1 (c2) is then up_image(p) (lo_image(p)), so the cut of X is the
-    mask of the generators holding X, which the pass that built the
-    closed family recorded with it.
-    """
-    intents = closures[side]._intents
-    pairs = sorted(zip(intents.values(), intents))
-    if not pairs[-1][1]:  # a closed empty X: every generator holds it
-        pairs.pop()
-    return pairs
-
-
 def ideals_wrt(subspace: Subspace) -> SubsetFamily:
     """All A-ideals of the subspace A, in sorted mask order."""
-    pairs = _galois_pairs(subspace, induced_closures(subspace), 1)
+    pairs = induced_closures(subspace)[1]._concepts
     return SubsetFamily(subspace.poset.n, (i for i, _ in pairs))
 
 
 def filters_wrt(subspace: Subspace) -> SubsetFamily:
     """All A-filters of the subspace A, in sorted mask order."""
-    pairs = _galois_pairs(subspace, induced_closures(subspace), 0)
+    pairs = induced_closures(subspace)[0]._concepts
     return SubsetFamily(subspace.poset.n, (f for f, _ in pairs))
 
 
@@ -289,12 +272,12 @@ def is_separating(subspace: Subspace):
     Returns (answer, counterexample (ideal, filter) masks or None), the
     first in ideal then filter mask order.
     """
-    return _separates(subspace, induced_closures(subspace))[:2]
+    return _separates(subspace, induced_closures(subspace))
 
 
 def _separates(subspace: Subspace, closures):
-    """``is_separating`` on the (c1, c2) pair ``induced_closures(subspace)``
-    built, then the ideal and filter pair lists.
+    """``is_separating`` on the pair ``induced_closures(subspace)`` built:
+    the A-filters and A-ideals, each with the X it cuts, are its concepts.
 
     A filter that is a point a of A is separated from every ideal it
     misses by a itself, which vanishes on that ideal and holds the
@@ -305,8 +288,7 @@ def _separates(subspace: Subspace, closures):
     lowest bit (smallest filter) first, so the witness is the first
     unseparated pair in ideal then filter order.
     """
-    filters = _galois_pairs(subspace, closures, 0)
-    ideals = _galois_pairs(subspace, closures, 1)
+    filters, ideals = closures[0]._concepts, closures[1]._concepts
     points = set(subspace.points)
     rest = [(filt, y) for filt, y in filters if filt not in points]
     everything = (1 << len(rest)) - 1
@@ -319,8 +301,8 @@ def _separates(subspace: Subspace, closures):
         for j in bits(disjoint):
             filt, y = rest[j]
             if not x & y:
-                return False, (ideal, filt), ideals, filters
-    return True, None, ideals, filters
+                return False, (ideal, filt)
+    return True, None
 
 
 def remove_constants(subspace: Subspace) -> Subspace:

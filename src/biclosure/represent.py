@@ -126,8 +126,10 @@ def representation_report(poset: Poset, subspace: Subspace) -> RepresentationRep
 
 
 def _read(poset: Poset, subspace: Subspace):
-    """``representation_report``, its (c1, c2) closure pair and the pair
-    lists its separation test scanned; the caller holds them, not the report."""
+    """``representation_report`` and its (c1, c2) closure pair, as
+    (report, pair): the pair carries the A-filters and A-ideals its
+    separation test read, as the concepts of c1 and c2, and the caller
+    holds it, not the report."""
     if subspace.poset != poset:
         raise ValueError("subspace is over a different poset")
     c1, c2 = induced_closures(subspace)
@@ -170,7 +172,7 @@ def _read(poset: Poset, subspace: Subspace):
 
     isomorphism = isotone and injective and into and surjective and full_ok
 
-    sep_ok, sep_wit, ideals, filters = _separates(subspace, (c1, c2))
+    sep_ok, sep_wit = _separates(subspace, (c1, c2))
     if sep_wit is not None:
         witnesses["separating"] = [
             _subset_labels(poset, sep_wit[0]),
@@ -203,7 +205,7 @@ def _read(poset: Poset, subspace: Subspace):
         exact=(c1.is_exact(), c2.is_exact()),
         topological=(c1.is_topological(), c2.is_topological()),
         witnesses=witnesses,
-    ), (c1, c2), ideals, filters
+    ), (c1, c2)
 
 
 def represent_general(poset: Poset, dual_cap: int = DUAL_POINT_CAP):
@@ -290,7 +292,7 @@ def represent_orthoposet(
     is verified; a failure is a bug and raises RuntimeError.
     """
     space = orthodual_space(poset, ortho, dual_cap)
-    report, (c1, _), _, _ = _read(poset, space)
+    report, (c1, _) = _read(poset, space)
     _require(_ortho_laws(poset, ortho, report), "orthodual representation")
     # with coinciding closures the closed-open family is the first
     # closure's clopen family
@@ -318,7 +320,7 @@ def stone(poset: Poset, dual_cap: int = DUAL_POINT_CAP) -> StoneSpace:
     if not poset.is_boolean():
         raise NotBoolean("point-space construction needs a Boolean lattice")
     points = remove_constants(lattice_dual(poset, dual_cap))
-    space, laws = _stone(*_read(poset, points)[:2])
+    space, laws = _stone(*_read(poset, points))
     _require(laws, "point-space representation")
     return space
 
@@ -672,7 +674,10 @@ class _Context:
 
 def _general(ctx: _Context):
     poset, star = ctx.poset, ctx.star
-    rep, _, ideal_pairs, filter_pairs = _read(poset, star)
+    rep, (c1, c2) = _read(poset, star)
+    ideals = {i for i, _ in c2._concepts}
+    filters = {f for f, _ in c1._concepts}
+    del c1, c2  # the report's closed families, not held through the checks
     # a false consistent flag already breaks the isomorphism, so the flag
     # cannot fail this check alone; it stays to guard the report's own
     # isomorphism computation
@@ -681,8 +686,8 @@ def _general(ctx: _Context):
     ok = rep.full and rep.separating
     yield "dual-full-separating", ok, None if ok else rep.witnesses
 
-    ideals_ok = {i for i, _ in ideal_pairs} == {poset.full ^ s for s in star.points}
-    filters_ok = {f for f, _ in filter_pairs} == set(star.points)
+    ideals_ok = ideals == {poset.full ^ s for s in star.points}
+    filters_ok = filters == set(star.points)
     ok = ideals_ok and filters_ok
     witness = {"ideals": ideals_ok, "filters": filters_ok}
     yield "ideals-are-downsets", ok, None if ok else witness
@@ -728,7 +733,7 @@ def _distributive(ctx: _Context):
     if not poset.is_lattice():
         return
     is_dist = poset.is_distributive()
-    rep, _, ideal_pairs, filter_pairs = _read(poset, ctx.morph)
+    rep, (c1, c2) = _read(poset, ctx.morph)
     fullsep = rep.full and rep.separating
     witness = {"distributive": is_dist, "full_separating": fullsep}
     yield "distributive-iff-full-separating", is_dist == fullsep, witness
@@ -736,8 +741,8 @@ def _distributive(ctx: _Context):
         return
     ideals, filters = ctx.families
     if ideals is not None:
-        ok = {i for i, _ in ideal_pairs} == set(ideals)
-        ok = ok and {f for f, _ in filter_pairs} == set(filters)
+        ok = {i for i, _ in c2._concepts} == set(ideals)
+        ok = ok and {f for f, _ in c1._concepts} == set(filters)
         yield "lattice-ideals-coincide", ok, None
     ok = all(_distributive_laws(rep).values())
     flags = None if ok else {"flags": rep.to_json()["flags"]}
@@ -749,7 +754,7 @@ def _boolean(ctx: _Context):
     if not poset.is_distributive():
         return
     is_bool = poset.is_boolean()
-    rep, closures = _read(poset, remove_constants(ctx.morph))[:2]
+    rep, closures = _read(poset, remove_constants(ctx.morph))
     coincide = rep.closures_coincide
     witness = {"boolean": is_bool, "closures_coincide": coincide}
     yield "boolean-iff-coincident-closures", is_bool == coincide, witness

@@ -15,6 +15,7 @@ from biclosure import (
     induced_closures,
 )
 from biclosure.bitops import bits, mask_of
+from biclosure.poset import SubsetFamily
 
 import oracles
 
@@ -124,6 +125,16 @@ def test_is_closed_distinguishes():
 def test_base_members_must_fit_carrier():
     with pytest.raises(MemberOutOfRange):
         ClosureOperator(2, [0b100])
+    # the smallest stray member is named, whatever the order given
+    with pytest.raises(MemberOutOfRange, match="member 0x4 exceeds carrier of size 2"):
+        ClosureOperator(2, [0b01, 0b1100, 0b100])
+
+
+def test_base_family_must_live_on_the_carrier():
+    with pytest.raises(CarrierMismatch):
+        ClosureOperator(2, SubsetFamily(3, [0b001]))
+    c = ClosureOperator(3, SubsetFamily(3, [0b110, 0b011]))
+    assert c.apply(0b010) == 0b010
 
 
 def test_apply_rejects_stray_bits():
@@ -164,9 +175,9 @@ def brute_family_masks(m, base):
 @settings(max_examples=300)
 @given(carriers_with_two_bases())
 def test_family_readers_match_brute_families_before_the_sorted_family(mbb):
-    # the closed-open family, == and the topological test against
-    # families built by brute intersection, with closed_family never
-    # built beforehand; hash and closed_family are read only after
+    # the closed-open family, ==, hash and the topological test against
+    # families built by brute intersection, with neither closed_family
+    # nor the sorted base built by any of them; closed_family is read last
     m, base, other = mbb
     full = (1 << m) - 1
     c1, c2 = ClosureOperator(m, base), ClosureOperator(m, other)
@@ -178,11 +189,12 @@ def test_family_readers_match_brute_families_before_the_sorted_family(mbb):
     )
     assert clopen_sets(c1).members == tuple(sorted(x for x in f1 if full ^ x in f1))
     assert (c1 == c2) == (c2 == c1) == (f1 == f2)
+    if f1 == f2:
+        assert hash(c1) == hash(c2)
     for c, f in ((c1, f1), (c2, f2)):
         assert c.is_topological() == all((a | b) in f for a in f for b in f)
         assert "closed_family" not in c.__dict__
-    if f1 == f2:
-        assert hash(c1) == hash(c2)
+        assert "base" not in c.__dict__
     assert c1.closed_family.members == tuple(sorted(f1))
     assert c2.closed_family.members == tuple(sorted(f2))
 

@@ -33,7 +33,6 @@ from biclosure import (
 from biclosure.bitops import bits, mask_of
 from biclosure.dualspace import (
     DUAL_POINT_CAP,
-    _galois_pairs,
     _lattice_dual,
     _orthodual,
     _separates,
@@ -311,11 +310,11 @@ def test_families_hulls_and_witness_match_oracles(p, data):
             [frozenset(bits(s)) for s in space.points], p.n
         )
         assert is_separating(space) == want
-        # the lists a report's readers take both families from
-        ok, wit, ideal_pairs, filter_pairs = _separates(space, induced_closures(space))
-        assert (ok, wit) == want
-        assert tuple(i for i, _ in ideal_pairs) == ideals_wrt(space).members
-        assert tuple(f for f, _ in filter_pairs) == filters_wrt(space).members
+        # the concepts a report's readers take both families from
+        c1, c2 = induced_closures(space)
+        assert _separates(space, (c1, c2)) == want
+        assert tuple(i for i, _ in c2._concepts) == ideals_wrt(space).members
+        assert tuple(f for f, _ in c1._concepts) == filters_wrt(space).members
     subset = data.draw(st.integers(0, p.full))
     held = frozenset(bits(subset))
     assert generated_ideal(sub, subset) == _smallest_holding(ideals, held, p.n)
@@ -346,7 +345,7 @@ def test_batched_cuts_match_per_set_cuts():
             family = closures[side].closed_family
             images = [image(p) for p in range(sub.poset.n)]
             want = oracles.per_set_cuts(images, family)
-            assert _galois_pairs(sub, closures, side) == want
+            assert closures[side]._concepts == want
             assert want == sorted((cut(sub, x), x) for x in family if x)
 
 
@@ -357,10 +356,9 @@ def test_separation_masks_match_the_pair_scan():
     unseparated = masked = 0
     for sub in drawn_subspaces(11, 800):
         closures = induced_closures(sub)
-        filters = _galois_pairs(sub, closures, 0)
-        ideals = _galois_pairs(sub, closures, 1)
+        filters, ideals = closures[0]._concepts, closures[1]._concepts
         want = oracles.pair_scan(ideals, filters)
-        assert _separates(sub, closures) == (*want, ideals, filters)
+        assert _separates(sub, closures) == want
         one_sets = [frozenset(bits(s)) for s in sub.points]
         assert want == oracles.first_unseparated_pair(one_sets, sub.poset.n)
         unseparated += not want[0]

@@ -176,19 +176,20 @@ def brute_family_flags(sub, n):
 def test_report_families_match_brute_force_without_sorted_families(catalog4, catalog5):
     # the full dual of every class with n <= 5 and six seeded subspaces
     # of each; the report reads both closures' closed sets without
-    # building either sorted closed_family
+    # building either sorted closed_family or either sorted base
     rng = random.Random(0xFA111E5)
     for p in catalog4 + catalog5:
         star = dual_space(p)
         subs = [star] + [star.restrict(rng.getrandbits(star.size)) for _ in range(6)]
         for sub in subs:
-            report, closures, _, _ = represent_module._read(p, sub)
+            report, closures = represent_module._read(p, sub)
             family, coincide, topological = brute_family_flags(sub, p.n)
             assert report.family.members == family
             assert report.closures_coincide == coincide
             assert report.topological == topological
             for c in closures:
                 assert "closed_family" not in c.__dict__
+                assert "base" not in c.__dict__
 
 
 def test_injectivity_is_decided_where_reflection_also_breaks():
@@ -917,11 +918,20 @@ def test_separation_builds_one_closure_pair(monkeypatch, m4):
 
 
 def count_readings(monkeypatch):
-    """The closure pairs built and the _galois_pairs runs, as two lists."""
+    """The closure pairs built and the closures whose concepts were
+    built, as two lists."""
     closures, pairs = [], []
     for module in (dualspace_module, represent_module):
         count_calls(monkeypatch, module, "induced_closures", closures)
-    count_calls(monkeypatch, dualspace_module, "_galois_pairs", pairs)
+    build = ClosureOperator.__dict__["_concepts"].func
+
+    def counted(closure):
+        pairs.append(closure)
+        return build(closure)
+
+    prop = cached_property(counted)
+    prop.__set_name__(ClosureOperator, "_concepts")
+    monkeypatch.setattr(ClosureOperator, "_concepts", prop)
     return closures, pairs
 
 
@@ -961,9 +971,10 @@ def test_report_cuts_are_the_ideal_and_filter_families(catalog4, catalog5):
         if p.is_lattice():
             spaces.append(lattice_dual(p))
         for space in spaces:
-            report, closures, ideals, filters = represent_module._read(p, space)
+            report, closures = represent_module._read(p, space)
             assert report == representation_report(p, space)
             assert closures == induced_closures(space)
+            ideals, filters = closures[1]._concepts, closures[0]._concepts
             assert tuple(i for i, _ in ideals) == ideals_wrt(space).members
             assert tuple(f for f, _ in filters) == filters_wrt(space).members
 
@@ -971,13 +982,15 @@ def test_report_cuts_are_the_ideal_and_filter_families(catalog4, catalog5):
 def test_corrupted_ideal_cuts_fail_both_ideal_checks(monkeypatch):
     # clearing bit 0 of every A-ideal cut must show in each check that
     # compares the A-ideals, and leave the filter half passing
-    original = dualspace_module._galois_pairs
+    original = represent_module.induced_closures
 
-    def corrupted(subspace, closures, side):
-        got = original(subspace, closures, side)
-        return [(cut & ~1, x) for cut, x in got] if side else got
+    def corrupted(subspace):
+        c1, c2 = original(subspace)
+        c2._concepts = [(cut & ~1, x) for cut, x in c2._concepts]
+        return c1, c2
 
-    monkeypatch.setattr(dualspace_module, "_galois_pairs", corrupted)
+    for module in (dualspace_module, represent_module):
+        monkeypatch.setattr(module, "induced_closures", corrupted)
     checks = {c.name: c for c in check_poset(boolean_algebra(3)).checks}
     downsets = checks["ideals-are-downsets"]
     assert not downsets.passed
@@ -992,10 +1005,10 @@ def test_unseparated_trimmed_dual_fails_constant_removal(monkeypatch, b4):
     original = represent_module._separates
 
     def planted(subspace, closures):
-        ok, witness, ideals, filters = original(subspace, closures)
+        got = original(subspace, closures)
         if {0, subspace.poset.full}.isdisjoint(subspace.points):
-            return False, (ideals[0][0], filters[0][0]), ideals, filters
-        return ok, witness, ideals, filters
+            return False, (closures[1]._concepts[0][0], closures[0]._concepts[0][0])
+        return got
 
     monkeypatch.setattr(represent_module, "_separates", planted)
     checks = {c.name: c for c in check_poset(b4, suite="general").checks}
@@ -1018,7 +1031,7 @@ def test_full_separating_m3_morphism_dual_fails_the_distributive_check(monkeypat
 
     def planted_separates(subspace, closures):
         got = separates(subspace, closures)
-        return (True, None, *got[2:]) if subspace == morph else got
+        return (True, None) if subspace == morph else got
 
     monkeypatch.setattr(represent_module, "is_full", planted_full)
     monkeypatch.setattr(represent_module, "_separates", planted_separates)
@@ -1069,9 +1082,7 @@ def test_false_full_or_separating_verdicts_make_reports_inconsistent(monkeypatch
     images = {0, unseparated.all_mask, *report.sigma_table}
     assert any(x not in images for x in report.family)
     separates, full = represent_module._separates, represent_module.is_full
-    monkeypatch.setattr(
-        represent_module, "_separates", lambda *a: (True, None, *separates(*a)[2:])
-    )
+    monkeypatch.setattr(represent_module, "_separates", lambda *a: (True, None))
     report = representation_report(p, unseparated)
     assert report.separating and not report.consistent
     assert report.to_json()["flags"]["consistent"] is False
@@ -1114,16 +1125,17 @@ def test_unseparated_full_dual_fails_dual_full_separating(monkeypatch, vee):
     original = represent_module._separates
 
     def planted(subspace, closures):
-        ok, witness, ideals, filters = original(subspace, closures)
+        got = original(subspace, closures)
         if subspace == star:
-            return False, (ideals[0][0], filters[0][0]), ideals, filters
-        return ok, witness, ideals, filters
+            return False, (closures[1]._concepts[0][0], closures[0]._concepts[0][0])
+        return got
 
     monkeypatch.setattr(represent_module, "_separates", planted)
     checks = check_poset(vee, suite="general").checks
     failed = [c for c in checks if not c.passed]
     assert [c.name for c in failed] == ["dual-full-separating"]
-    ideals, filters = represent_module._read(vee, star)[2:]
+    _, (c1, c2) = represent_module._read(vee, star)
+    ideals, filters = c2._concepts, c1._concepts
     assert failed[0].witness == {
         "separating": [
             represent_module._subset_labels(vee, ideals[0][0]),
