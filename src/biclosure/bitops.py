@@ -4,15 +4,18 @@ Subsets of a finite carrier {0, ..., m-1} are plain ints with bit i set
 iff element i is in the subset. Intersection, union and complement are
 then single word operations, which is what makes the exhaustive sweeps
 elsewhere affordable. ``and_tables`` serves the closure-equation check,
-the selfdual sweep and the orthodual filter. ``and_folds`` is the one
-routine that reads them: it shifts each subset once per 8-index block
-when there are at most 16 blocks (every fold of the catalog), and above
-that reads each subset's bytes once, which keeps a fold over m points
-linear in m rather than quadratic.
+the selfdual sweep and the orthodual filter; it builds each block's
+table the first time it is read. ``and_folds`` is the one routine that
+folds them, and it takes any such sequence of tables: it shifts each
+subset once per 8-index block when there are at most 16 blocks (every
+fold of the catalog), and above that reads each subset's bytes once,
+which keeps a fold over m points linear in m rather than quadratic. A
+fold that stops early leaves the blocks it skips unbuilt.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import Iterable, Iterator
 
 
@@ -35,7 +38,7 @@ BLOCK = 8
 _BLOCK_MASK = (1 << BLOCK) - 1
 
 
-def and_tables(masks, seed: int) -> list:
+def and_tables(masks, seed: int) -> _AndTables:
     """Subset-AND tables over ``masks``, one per block of 8 indices.
 
     Entry b of block k is ``seed`` ANDed with ``masks[8k + j]`` for every
@@ -44,23 +47,53 @@ def and_tables(masks, seed: int) -> list:
     grown by doubling: the upper half is the lower half ANDed with the
     next mask, i.e. t[b] = t[b ^ top] & mask[top]. Equal entries share
     one int object, which keeps the tables of a large subspace small.
+
+    The result is a read-only sequence of ``max(1, ceil(len(masks) / 8))``
+    tables that indexes, slices and iterates as a list does. Block k is
+    built the first time it is read and then kept, so a fold that stops
+    early never builds the blocks it skips. ``masks`` is kept and sliced
+    as each block is built, so it must not change while the tables are
+    read.
     """
-    tables = []
-    shared: dict = {}
-    for start in range(0, max(len(masks), 1), BLOCK):
-        t = [seed]
-        for m in masks[start : start + BLOCK]:
+    return _AndTables(masks, seed)
+
+
+class _AndTables(Sequence):
+    """The blocks of ``and_tables``, each built on its first read."""
+
+    def __init__(self, masks, seed: int):
+        self._masks, self._seed, self._shared = masks, seed, {}
+        self._blocks = [None] * max(1, -(-len(masks) // BLOCK))
+
+    def __len__(self) -> int:
+        return len(self._blocks)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self._blocks))[k]]
+        return self._blocks[k] or self._build(k)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._blocks)))
+
+    def _build(self, k: int) -> list:
+        k %= len(self._blocks)
+        t = [self._seed]
+        for m in self._masks[BLOCK * k : BLOCK * k + BLOCK]:
             t += [v & m for v in t]
-        tables.append([shared.setdefault(v, v) for v in t])
-    return tables
+        setdefault = self._shared.setdefault
+        self._blocks[k] = t = [setdefault(v, v) for v in t]
+        return t
 
 
 def and_folds(tables: list, xs) -> list:
     """For each x in xs, the AND of the seed and the masks indexed by the
     set bits of x: one list comprehension per block over the whole batch.
 
-    ``tables`` comes from ``and_tables`` (so it has at least one table,
-    and entry 0 of each is the seed). Only the low ``BLOCK * len(tables)``
+    ``tables`` is any sequence of tables shaped as ``and_tables`` gives
+    them (so it has at least one table, and entry 0 of each is the seed);
+    only the blocks a fold reads are indexed, so of an ``and_tables``
+    sequence only those are built. Only the low ``BLOCK * len(tables)``
     bits of each x are read; bits above them are ignored. Blocks are read
     from both ends inward (block 0, the last, block 1, the second-to-last,
     ...), and once every value in the batch is 0 the remaining blocks are

@@ -20,6 +20,7 @@ from biclosure import (
     ideal_of,
     induced_closures,
 )
+import biclosure.represent as represent_module
 from biclosure.bitops import BLOCK, and_folds, and_tables, bits
 from biclosure.represent import (
     _BATCH,
@@ -103,6 +104,140 @@ def test_and_folds_stops_once_the_batch_is_zero(xs, zero_after_first):
         assert and_folds([tables[0], _Unread(), _Unread()], xs) == want
     else:
         assert any(want)
+
+
+# --- each table built on its first read -----------------------------------------------
+
+
+class _SliceLog(list):
+    """Masks that log the block of each slice read from them."""
+
+    def __init__(self, masks, log):
+        super().__init__(masks)
+        self.log = log
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            self.log.append(index.start // BLOCK)
+        return super().__getitem__(index)
+
+
+def test_a_fold_that_stops_early_builds_only_the_blocks_it_reads():
+    log = []
+    tables = and_tables(_SliceLog(_STOP_MASKS, log), _STOP_SEED)
+    xs = [1, 1 | 1 << 9, 1 | 1 << 17 | 1 << 20, 0b11]
+    assert and_folds(tables, xs) == [0] * len(xs)
+    assert log == [0]
+    # a batch that stays nonzero reads, and so builds, the rest; a block
+    # once built is kept, not built again
+    late = [1 << 9, 1 << 20]
+    want = [naive_fold(_STOP_MASKS, _STOP_SEED, x) for x in late]
+    assert and_folds(tables, late) == want and all(want)
+    assert log == [0, 2, 1]
+    assert and_folds(tables, late) == want
+    assert log == [0, 2, 1]
+
+
+class _Reads:
+    """Tables that record the index of every block read from them."""
+
+    def __init__(self, tables, read):
+        self.tables, self.read = tables, read
+
+    def __len__(self):
+        return len(self.tables)
+
+    def __getitem__(self, j):
+        self.read.add(j % len(self.tables))
+        return self.tables[j]
+
+
+def test_closure_equations_build_only_the_cut_blocks_they_read(monkeypatch):
+    # antichain(9)'s packed cuts fold to zero from both ends: of the 64
+    # blocks over its 512 points only the outer ones are read, so built
+    star = dual_space(antichain(9))
+    c1, c2 = induced_closures(star)
+    made = []
+
+    def logged_tables(masks, seed):
+        built = []
+        tables = and_tables(_SliceLog(masks, built), seed)
+        made.append((tables, built, set()))
+        return tables
+
+    def logged_folds(tables, xs):
+        (read,) = [read for t, _, read in made if t is tables]
+        return and_folds(_Reads(tables, read), xs)
+
+    monkeypatch.setattr(represent_module, "and_tables", logged_tables)
+    monkeypatch.setattr(represent_module, "and_folds", logged_folds)
+    xs = _subset_sample(star.size)
+    assert _closure_formula_agrees(star, c1, c2, xs) == (True, None)
+    (cuts, built, read), *images = made
+    assert len(cuts) == 64 and len(images) == 2
+    assert sorted(built) == sorted(read) and len(built) == 4
+    for _, built, read in images:
+        assert sorted(built) == sorted(read)
+
+
+def eager_tables(masks, seed):
+    """Every block of ``and_tables`` at once, by the same doubling."""
+    tables = []
+    for start in range(0, max(len(masks), 1), BLOCK):
+        t = [seed]
+        for m in masks[start : start + BLOCK]:
+            t += [v & m for v in t]
+        tables.append(t)
+    return tables
+
+
+# few distinct wide masks, so that equal entries recur across blocks as
+# distinct int objects unless the tables share them
+_WIDE_FULL = (1 << 80) - 1
+_WIDE_MASKS = [_WIDE_FULL, _WIDE_FULL ^ 1 << 70, _WIDE_FULL ^ 1 << 75, 1 << 79 | 5]
+
+
+@st.composite
+def table_reads(draw):
+    masks = draw(st.lists(st.sampled_from(_WIDE_MASKS), max_size=40))
+    width = max(1, -(-len(masks) // BLOCK))
+    bound = st.none() | st.integers(-width - 2, width + 2)
+    read = st.one_of(
+        st.tuples(st.just("int"), st.integers(-width, width - 1)),
+        st.tuples(st.just("out"), st.sampled_from((width, -width - 1))),
+        st.tuples(
+            st.just("slice"),
+            bound,
+            bound,
+            st.none() | st.integers(-3, 3).filter(bool),
+        ),
+        st.tuples(st.just("iter")),
+    )
+    return masks, draw(st.lists(read, max_size=8))
+
+
+@given(table_reads())
+@example(([_WIDE_MASKS[1]] * 20, [("int", -1), ("slice", None, None, -1), ("iter",)]))
+@settings(max_examples=200, deadline=None)
+def test_lazy_tables_read_as_the_eager_doubling(case):
+    masks, reads = case
+    seed = _WIDE_FULL ^ 1 << 64
+    tables = and_tables(masks, seed)
+    want = eager_tables(masks, seed)
+    assert len(tables) == len(want)
+    for kind, *args in reads:
+        if kind == "int":
+            assert tables[args[0]] == want[args[0]]
+        elif kind == "out":
+            with pytest.raises(IndexError):
+                tables[args[0]]
+        elif kind == "slice":
+            assert tables[slice(*args)] == want[slice(*args)]
+        else:
+            assert list(tables) == want
+    assert list(tables) == want
+    shared = {}
+    assert all(shared.setdefault(v, v) is v for t in tables for v in t)
 
 
 # --- wide folds: blocks from both ends inward, read from each x's bytes ---------------
