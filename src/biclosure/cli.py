@@ -5,7 +5,8 @@ file path; everything going out is JSON with sorted keys, so identical
 input and flags produce byte-identical output. DOT is write-only.
 
 Exit codes: 0 all checks passed, 1 a check failed (the report carries
-the witness), 2 usage or input error, 3 a bound was exceeded.
+the witness), 2 usage or input error, 3 a bound or the interpreter's
+recursion limit was exceeded.
 """
 
 from __future__ import annotations
@@ -329,7 +330,9 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except BoundExceeded as exc:
+    except (BoundExceeded, RecursionError) as exc:
+        # a RecursionError is a RuntimeError, but an input too deep for
+        # the interpreter's stack is a size limit, not a failed law
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (BiclosureError, ValueError, OSError) as exc:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import islice
 from operator import or_
 
 from .bitops import bits, mask_of
@@ -87,17 +88,12 @@ class Poset:
 
     @cached_property
     def covers(self):
-        """covers[i] is the mask of elements covering i (immediate successors)."""
-        out = []
-        for i in range(self.n):
-            strict_up = self.up[i] & ~(1 << i)
-            cov = 0
-            for j in bits(strict_up):
-                between = strict_up & self.down[j] & ~(1 << j)
-                if not between:
-                    cov |= 1 << j
-            out.append(cov)
-        return tuple(out)
+        """covers[i] is the mask of elements covering i (immediate successors):
+        the strict up-row of i less everything strictly above one of them."""
+        strict = [row & ~(1 << i) for i, row in enumerate(self.up)]
+        return tuple(
+            row & ~reduce(or_, [strict[j] for j in bits(row)], 0) for row in strict
+        )
 
     def _spanning(self, rows):
         """The element whose row is the whole carrier (bottom in up, top in down)."""
@@ -118,21 +114,11 @@ class Poset:
 
     @cached_property
     def _meet_table(self):
-        table = [[None] * self.n for _ in range(self.n)]
-        for p in range(self.n):
-            for q in range(p, self.n):
-                common = self.down[p] & self.down[q]
-                found = None
-                for c in bits(common):
-                    if common & ~self.down[c] == 0:
-                        found = c
-                        break
-                table[p][q] = table[q][p] = found
-        return table
+        return _bound_table(self.down)
 
     @cached_property
     def _join_table(self):
-        return self.opposite()._meet_table
+        return _bound_table(self.up)
 
     def meet(self, p: int, q: int):
         """Greatest lower bound, or None when the pair has none."""
@@ -144,10 +130,8 @@ class Poset:
 
     def is_lattice(self) -> bool:
         """Nonempty, with a meet and a join for every pair."""
-        return self.n > 0 and all(
-            self._meet_table[p][q] is not None and self._join_table[p][q] is not None
-            for p in range(self.n)
-            for q in range(p + 1, self.n)
+        return self.n > 0 and not any(
+            None in row for table in (self._meet_table, self._join_table) for row in table
         )
 
     def is_distributive(self) -> bool:
@@ -203,6 +187,17 @@ class Poset:
 
 # _ONES[t] maps each byte to ASCII "1" or "0" by its bit t
 _ONES = [bytes(b"01"[b >> t & 1] for b in range(256)) for t in range(8)]
+
+
+def _bound_table(rows) -> list:
+    """table[p][q] is the element whose row is rows[p] & rows[q], or None.
+
+    For the down-rows of an order the common row is the set of common
+    lower bounds, which is some element's down-row exactly when that
+    element is the greatest of them: the meet. The up-rows give the join.
+    """
+    at = {row: i for i, row in enumerate(rows)}
+    return [[at.get(a & b) for b in rows] for a in rows]
 
 
 def _transpose(rows, width: int) -> tuple:
@@ -449,26 +444,17 @@ def _upsets(rows, cap: int) -> list:
 
     Raises BoundExceeded once there are more than ``cap`` of them.
     """
-    n = len(rows)
+    out = [0]
     # each other element of rows[e] has a strictly smaller row, so in this
-    # order everything rows[e] asks for is decided when e is reached
-    order = sorted(range(n), key=lambda i: bin(rows[i]).count("1"))
-    out = []
-
-    def grow(k, acc):
-        if k == n:
-            out.append(acc)
-            if len(out) > cap:
-                raise BoundExceeded(
-                    f"up-set count exceeds the configured cap {cap}"
-                )
-            return
-        e = order[k]
-        grow(k + 1, acc)
-        if rows[e] & ~(acc | 1 << e) == 0:
-            grow(k + 1, acc | 1 << e)
-
-    grow(0, 0)
+    # order everything rows[e] asks for is decided when e is reached; the
+    # sets held are then the up-sets of the elements reached so far, never
+    # more than the final count, so holding at most cap + 1 bounds the work
+    for e in sorted(range(len(rows)), key=lambda i: bin(rows[i]).count("1")):
+        bit, need = 1 << e, rows[e] & ~(1 << e)
+        grown = (acc | bit for acc in islice(out, len(out)) if acc & need == need)
+        out += islice(grown, max(0, cap + 1 - len(out)))
+    if len(out) > cap:
+        raise BoundExceeded(f"up-set count exceeds the configured cap {cap}")
     return out
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import biclosure.represent as represent_module
-from biclosure import boolean_algebra, poset_to_json, sweep_catalog
+from biclosure import boolean_algebra, chain, poset_to_json, sweep_catalog
 from biclosure.cli import main
 from biclosure.represent import SUITES, SuiteReport
 
@@ -36,6 +36,12 @@ def test_dual_counts_points(capsys):
     data = json.loads(out)
     assert data["point_count"] == 6
     assert [] in data["points"]
+
+
+def test_dual_on_a_chain_longer_than_the_recursion_limit(capsys):
+    code, out, _ = run(capsys, "dual", json.dumps(poset_to_json(chain(1100))))
+    assert code == 0
+    assert json.loads(out)["point_count"] == 1101
 
 
 def test_dual_reads_a_file(tmp_path, capsys):
@@ -144,6 +150,19 @@ def test_check_reports_failure_with_exit_one(capsys, monkeypatch):
     code, out, _ = run(capsys, "check", B4)
     assert code == 1
     assert json.loads(out)["checks"][0]["pass"] is False
+
+
+def test_recursion_overflow_exits_three(capsys, monkeypatch):
+    # too deep for the interpreter's stack is a size limit, not a failed law
+    import biclosure.cli as cli
+
+    def too_deep(poset):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "find_orthocomplementations", too_deep)
+    code, out, err = run(capsys, "ortho", B4)
+    assert (code, out) == (3, "")
+    assert err == "error: maximum recursion depth exceeded\n"
 
 
 EMPTY = json.dumps({"elements": []})

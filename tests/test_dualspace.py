@@ -65,11 +65,19 @@ def test_known_dual_sizes(two_chain, pair, vee, b4, m4):
     assert dual_space(vee).size == 5
     assert dual_space(b4).size == 6
     assert dual_space(m4).size == 18
+    # one up-set per cut of the chain, each decided without recursion
+    assert dual_space(chain(3000)).size == 3001
 
 
-def test_dual_cap_is_enforced(b4):
+def test_dual_cap_is_enforced(b4, b8):
     with pytest.raises(BoundExceeded):
         dual_space(b4, cap=3)
+    # the cap admits exactly the posets with at most that many up-sets
+    for p in [chain(0), b8, antichain(10)] + catalog_upto5:
+        count = len(oracles.brute_upsets(p.n, oracles.leq_fn(p)))
+        assert dual_space(p, cap=count).size == count
+        with pytest.raises(BoundExceeded, match=f"the configured cap {count - 1}$"):
+            dual_space(p, cap=count - 1)
 
 
 def test_points_must_be_upsets(two_chain):

@@ -98,6 +98,14 @@ def test_meet_join_match_naive_search(p):
             assert p.join(a, b) == oracles.naive_join(p.n, leq, a, b)
 
 
+def test_long_chain_meets_and_joins_are_min_and_max():
+    p = chain(500)
+    assert p.is_lattice()
+    for a in range(p.n):
+        assert [p.meet(a, b) for b in range(p.n)] == [min(a, b) for b in range(p.n)]
+        assert [p.join(a, b) for b in range(p.n)] == [max(a, b) for b in range(p.n)]
+
+
 def test_lattice_predicates_on_known_shapes(b4, b8, m3, m4, n5, four_chain, vee, pair):
     assert b4.is_lattice() and b4.is_distributive() and b4.is_boolean()
     assert b8.is_boolean()
@@ -154,15 +162,16 @@ def test_bounds_detection(b4, vee, pair, singleton):
 
 
 def test_covers_have_nothing_between(b8):
-    for i in range(b8.n):
-        for j in range(b8.n):
-            covered = bool(b8.covers[i] >> j & 1)
-            strictly_below = b8.leq(i, j) and i != j
-            between = any(
-                b8.leq(i, z) and b8.leq(z, j) and z not in (i, j)
-                for z in range(b8.n)
-            )
-            assert covered == (strictly_below and not between)
+    for p in [b8, chain(5), antichain(4)] + catalog_upto6:
+        for i in range(p.n):
+            for j in range(p.n):
+                covered = bool(p.covers[i] >> j & 1)
+                strictly_below = p.leq(i, j) and i != j
+                between = any(
+                    p.leq(i, z) and p.leq(z, j) and z not in (i, j)
+                    for z in range(p.n)
+                )
+                assert covered == (strictly_below and not between)
 
 
 # --- catalogs ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from biclosure import (
     sweep_catalog,
 )
 import biclosure.dualspace as dualspace_module
+import biclosure.poset as poset_module
 import biclosure.represent as represent_module
 from biclosure.bitops import bits, mask_of
 from biclosure.dualspace import Hull, Subspace, _fullness_witnesses, _lattice_families
@@ -816,12 +817,15 @@ def test_check_poset_enumerates_the_up_sets_once(upset_calls, m3, m4):
             assert upset_calls == ([] if reads_none else [poset.up]), (poset, suite)
 
 
-def test_check_poset_builds_one_opposite(monkeypatch):
-    # the join table is the opposite's meet table; nothing else needs one
-    calls = []
-    count_calls(monkeypatch, Poset, "opposite", calls)
-    assert check_poset(boolean_algebra(3)).all_passed
-    assert len(calls) == 1
+def test_check_poset_builds_one_meet_and_one_join_table(monkeypatch):
+    # both tables are read off the order's own rows; no opposite is built
+    opposites, tables = [], []
+    count_calls(monkeypatch, Poset, "opposite", opposites)
+    count_calls(monkeypatch, poset_module, "_bound_table", tables)
+    poset = boolean_algebra(3)
+    assert check_poset(poset).all_passed
+    assert opposites == []
+    assert sorted(tables) == sorted([(poset.down,), (poset.up,)])
 
 
 def test_builder_families_are_clopen_families(b4, m4):
