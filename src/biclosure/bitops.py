@@ -10,7 +10,8 @@ folds them, and it takes any such sequence of tables: it shifts each
 subset once per 8-index block when there are at most 16 blocks (every
 fold of the catalog), and above that reads each subset's bytes once,
 which keeps a fold over m points linear in m rather than quadratic. A
-fold that stops early leaves the blocks it skips unbuilt.
+fold that stops early leaves the blocks it skips unbuilt. ``or_table``
+is the OR twin, one eager table; ``_transpose`` turns rows into columns.
 """
 
 from __future__ import annotations
@@ -32,6 +33,33 @@ def mask_of(indices: Iterable[int]) -> int:
     for i in indices:
         out |= 1 << i
     return out
+
+
+# _ONES[t] maps each byte to ASCII "1" or "0" by its bit t
+_ONES = [bytes(b"01"[b >> t & 1] for b in range(256)) for t in range(8)]
+
+
+def _transpose(rows, width: int) -> tuple:
+    """The columns j < ``width`` of the bit rows ``rows``, as rows: bit i
+    of column j is bit j of row i; bits at or above ``width`` are not
+    read. The down-rows of an order are the transpose of its up-rows.
+    Bits k to k + 7 of the rows, last row first, make one byte string,
+    which ``_ONES[t]`` translates into column k + t in binary for ``int``.
+    """
+    out = []
+    for k in range(0, width, 8):
+        block = bytes([r >> k & 255 for r in reversed(rows)])
+        for j in range(min(8, width - k)):
+            out.append(int(block.translate(_ONES[j]) or b"0", 2))
+    return tuple(out)
+
+
+def or_table(masks) -> list:
+    """Entry b is the OR of masks[j] over the set bits j of b, by doubling."""
+    table = [0]
+    for m in masks:
+        table += [h | m for h in table]
+    return table
 
 
 BLOCK = 8

@@ -30,13 +30,13 @@ cut, no family.
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import cached_property
 from typing import NamedTuple
 
-from .bitops import and_folds, and_tables, bits
+from .bitops import _transpose, and_folds, and_tables, bits
 from .closure import induced_closures
 from .errors import InvalidOrthoMap, MemberOutOfRange, NotALattice, NotBounded
-from .poset import OrthoMap, Poset, SubsetFamily, _closed, _transpose, _upsets
+from .poset import OrthoMap, Poset, SubsetFamily, _upsets
 
 DUAL_POINT_CAP = 1 << 20
 
@@ -156,11 +156,12 @@ def lattice_dual(poset: Poset, cap: int = DUAL_POINT_CAP) -> Subspace:
 
 def _lattice_sides(poset: Poset):
     """The tests, on an up-set s of a lattice, of whether its point
-    preserves meets (s is closed under meets: a lattice filter or empty)
-    and joins (its complement is closed under joins: a lattice ideal or
-    empty)."""
-    meets = partial(_closed, poset._meet_table)
-    return meets, lambda s: _closed(poset._join_table, poset.full ^ s)
+    preserves meets and joins: whether s (its kernel) is empty or closed
+    under meets (joins). In a finite lattice those are the up-rows
+    (down-rows), the principal filters (ideals): Davey & Priestley,
+    Introduction to Lattices and Order, 2nd ed., 2002."""
+    kernels = {0, *poset.down}
+    return {0, *poset.up}.__contains__, lambda s: poset.full ^ s in kernels
 
 
 def _lattice_dual(star: Subspace) -> Subspace:

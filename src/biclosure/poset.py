@@ -20,7 +20,7 @@ from functools import cached_property, reduce
 from itertools import islice
 from operator import or_
 
-from .bitops import bits, mask_of
+from .bitops import _transpose, bits, mask_of
 from .errors import (
     BoundExceeded,
     CycleError,
@@ -135,21 +135,25 @@ class Poset:
         )
 
     def is_distributive(self) -> bool:
-        """Meet over join on every triple, checked once per poset."""
+        """Does meet distribute over join? Decided once per poset."""
         return self._distributive
 
     @cached_property
     def _distributive(self) -> bool:
-        """The direct O(n^3) check behind is_distributive."""
+        """A finite lattice is distributive iff each join-irreducible (one
+        whose strict down-set is a down-row) is join-prime (Davey & Priestley,
+        Introduction to Lattices and Order, 2nd ed., 2002): the
+        join-irreducibles below a v b are those below a or below b."""
         if not self.is_lattice():
             return False
-        mt, jt = self._meet_table, self._join_table
-        for a in range(self.n):
-            for b in range(self.n):
-                for c in range(self.n):
-                    if mt[a][jt[b][c]] != jt[mt[a][b]][mt[a][c]]:
-                        return False
-        return True
+        rows = set(self.down)
+        irr = mask_of(j for j, row in enumerate(self.down) if row ^ 1 << j in rows)
+        below = [row & irr for row in self.down]
+        return all(
+            below[j] == below[a] | below[b]
+            for a, joins in enumerate(self._join_table)
+            for b, j in zip(range(a), joins)
+        )
 
     @cached_property
     def _complements(self):
@@ -185,10 +189,6 @@ class Poset:
         return f"Poset({self.n} elements)"
 
 
-# _ONES[t] maps each byte to ASCII "1" or "0" by its bit t
-_ONES = [bytes(b"01"[b >> t & 1] for b in range(256)) for t in range(8)]
-
-
 def _bound_table(rows) -> list:
     """table[p][q] is the element whose row is rows[p] & rows[q], or None.
 
@@ -198,21 +198,6 @@ def _bound_table(rows) -> list:
     """
     at = {row: i for i, row in enumerate(rows)}
     return [[at.get(a & b) for b in rows] for a in rows]
-
-
-def _transpose(rows, width: int) -> tuple:
-    """The columns j < ``width`` of the bit rows ``rows``, as rows: bit i
-    of column j is bit j of row i; bits at or above ``width`` are not
-    read. The down-rows of an order are the transpose of its up-rows.
-    Bits k to k + 7 of the rows, last row first, make one byte string,
-    which ``_ONES[t]`` translates into column k + t in binary for ``int``.
-    """
-    out = []
-    for k in range(0, width, 8):
-        block = bytes([r >> k & 255 for r in reversed(rows)])
-        for j in range(min(8, width - k)):
-            out.append(int(block.translate(_ONES[j]) or b"0", 2))
-    return tuple(out)
 
 
 def build_poset(labels, pairs) -> Poset:
@@ -456,11 +441,6 @@ def _upsets(rows, cap: int) -> list:
     if len(out) > cap:
         raise BoundExceeded(f"up-set count exceeds the configured cap {cap}")
     return out
-
-
-def _closed(table, d: int) -> bool:
-    """Is the set d closed under the binary operation given by table?"""
-    return all(d >> table[i][j] & 1 for i in bits(d) for j in bits(d))
 
 
 def _natural_posets(n, tag=None, grow=lambda tag, d: tag):

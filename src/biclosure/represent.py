@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Optional
 
-from .bitops import BLOCK, and_folds, and_tables, bits
+from .bitops import BLOCK, _transpose, and_folds, and_tables, bits, or_table
 from .closure import ClosureOperator, closed_open_family, induced_closures
 from .dualspace import (
     DUAL_POINT_CAP,
@@ -54,7 +54,6 @@ from .poset import (
     OrthoMap,
     Poset,
     SubsetFamily,
-    _transpose,
     enumerate_posets,
     find_orthocomplementations,
     poset_to_json,
@@ -363,15 +362,6 @@ def selfdual_subspaces(
 _LOW_BITS = 9
 
 
-def _hit_table(columns) -> list:
-    """Entry b is the OR of columns[j] over the set bits j of b, grown by
-    doubling."""
-    table = [0]
-    for col in columns:
-        table += [h | col for h in table]
-    return table
-
-
 def _selfdual_sweep(star: Subspace, cap: int) -> list:
     """``selfdual_subspaces`` over an already built dual space."""
     m = star.size
@@ -388,7 +378,7 @@ def _selfdual_sweep(star: Subspace, cap: int) -> list:
     witnesses = sorted({held for _, _, held in _fullness_witnesses(star)})
     columns = _transpose(witnesses, m)
     k = min(m, _LOW_BITS)
-    low_hits = _hit_table(columns[:k])
+    low_hits = or_table(columns[:k])
     every = (1 << len(witnesses)) - 1
     found = []
     # the low halves completing each high half, cached per missing set of
@@ -398,7 +388,7 @@ def _selfdual_sweep(star: Subspace, cap: int) -> list:
     lows_for: dict = {}
     keep_ups = _cut_filter(ups, m, k)
     keep_los = _cut_filter(los, m, k)
-    for high, high_hit in enumerate(_hit_table(columns[k:])):
+    for high, high_hit in enumerate(or_table(columns[k:])):
         need = every & ~high_hit
         lows = lows_for.get(need)
         if lows is None:
@@ -441,7 +431,7 @@ def _cut_filter(rows, m: int, k: int):
         r = rows[i]
         columns = [0 if r >> p & 1 else col for p, col in enumerate(misses)]
         ands = [t[::-1] for t in and_tables([t & r for t in rows], r)]
-        tables[i] = _hit_table(columns[:k]), columns[k:], ands
+        tables[i] = or_table(columns[:k]), columns[k:], ands
         return tables[i]
 
     def keep(high: int, lows: list) -> list:

@@ -426,3 +426,29 @@ def brute_is_distributive(poset):
                 if lhs != rhs:
                     return False
     return True
+
+
+# --- direct table checks ----------------------------------------------------------
+# These two read the package's own meet and join tables, which the tests
+# check against naive_meet and naive_join separately; they restate the
+# definitions element by element, so they reach sizes the naive sweeps
+# above cannot.
+
+
+def table_is_distributive(poset):
+    """Meet over join on every triple of the meet and join tables."""
+    if not poset.is_lattice():
+        return False
+    mt, jt, n = poset._meet_table, poset._join_table, poset.n
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if mt[a][jt[b][c]] != jt[mt[a][b]][mt[a][c]]:
+                    return False
+    return True
+
+
+def closed_under(table, d):
+    """Is the set d (a mask) closed under the operation given by table?"""
+    members = [i for i in range(d.bit_length()) if d >> i & 1]
+    return all(d >> table[i][j] & 1 for i in members for j in members)

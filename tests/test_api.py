@@ -11,8 +11,10 @@ DELETED = (
     "EAGER_CARRIER_LIMIT",
     "IdealFamily",
     "_check_args",
+    "_closed",
     "_coincide_mask",
     "_downclosed_subsets",
+    "_hit_table",
     "_hull",
     "_intersection_closure",
     "_iso_key",

@@ -727,7 +727,7 @@ def count_calls(monkeypatch, module, name, calls):
 
 def test_check_poset_decides_distributivity_once(monkeypatch):
     # the distributive and boolean suites and is_boolean each ask; the
-    # O(n^3) triple loop behind is_distributive answers once per poset
+    # join-prime test behind is_distributive answers once per poset
     loop = Poset.__dict__["_distributive"].func
     calls = []
 
