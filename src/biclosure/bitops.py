@@ -10,8 +10,9 @@ folds them, and it takes any such sequence of tables: it shifts each
 subset once per 8-index block when there are at most 16 blocks (every
 fold of the catalog), and above that reads each subset's bytes once,
 which keeps a fold over m points linear in m rather than quadratic. A
-fold that stops early leaves the blocks it skips unbuilt. ``or_table``
-is the OR twin, one eager table; ``_transpose`` turns rows into columns.
+fold that stops early leaves the blocks it skips unbuilt. ``and_table``
+doubles out each block, and every subset's closure-equation cuts;
+``or_table`` is its OR twin; ``_transpose`` turns rows into columns.
 """
 
 from __future__ import annotations
@@ -54,6 +55,14 @@ def _transpose(rows, width: int) -> tuple:
     return tuple(out)
 
 
+def and_table(masks, seed: int) -> list:
+    """Entry b is seed ANDed with masks[j] over the set bits j of b, by doubling."""
+    table = [seed]
+    for m in masks:
+        table += [v & m for v in table]
+    return table
+
+
 def or_table(masks) -> list:
     """Entry b is the OR of masks[j] over the set bits j of b, by doubling."""
     table = [0]
@@ -72,9 +81,9 @@ def and_tables(masks, seed: int) -> _AndTables:
     Entry b of block k is ``seed`` ANDed with ``masks[8k + j]`` for every
     bit j of b, so ``and_folds`` reads the AND over any index set with one
     lookup per block (the method of the Four Russians). Each table is
-    grown by doubling: the upper half is the lower half ANDed with the
-    next mask, i.e. t[b] = t[b ^ top] & mask[top]. Equal entries share
-    one int object, which keeps the tables of a large subspace small.
+    ``and_table`` over its block: t[b] = t[b ^ top] & mask[top]. Equal
+    entries share one int object, which keeps the tables of a large
+    subspace small.
 
     The result is a read-only sequence of ``max(1, ceil(len(masks) / 8))``
     tables that indexes, slices and iterates as a list does. Block k is
@@ -106,11 +115,8 @@ class _AndTables(Sequence):
 
     def _build(self, k: int) -> list:
         k %= len(self._blocks)
-        t = [self._seed]
-        for m in self._masks[BLOCK * k : BLOCK * k + BLOCK]:
-            t += [v & m for v in t]
-        setdefault = self._shared.setdefault
-        self._blocks[k] = t = [setdefault(v, v) for v in t]
+        t = and_table(self._masks[BLOCK * k : BLOCK * k + BLOCK], self._seed)
+        self._blocks[k] = t = list(map(self._shared.setdefault, t, t))
         return t
 
 

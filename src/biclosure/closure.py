@@ -48,9 +48,10 @@ class ClosureOperator:
             raise CarrierMismatch("base family lives on a different carrier")
         self.m = m
         self.full = (1 << m) - 1
+        self._outside = ~self.full
         self._generators = tuple(base)
-        if reduce(or_, self._generators, 0) & ~self.full:
-            x = min(b for b in self._generators if b & ~self.full)
+        if reduce(or_, self._generators, 0) & self._outside:
+            x = min(b for b in self._generators if b & self._outside)
             raise MemberOutOfRange(f"member {x:#x} exceeds carrier of size {m}")
 
     @cached_property
@@ -91,7 +92,7 @@ class ClosureOperator:
 
     def apply(self, x: int) -> int:
         """Smallest closed superset of x."""
-        if x & ~self.full:
+        if x & self._outside:
             raise MemberOutOfRange("argument has bits outside the carrier")
         out = self.full
         for b in self._generators:

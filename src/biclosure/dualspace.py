@@ -282,16 +282,18 @@ def _separates(subspace: Subspace, closures):
 
     A filter that is a point a of A is separated from every ideal it
     misses by a itself, which vanishes on that ideal and holds the
-    filter, so only the other filters are indexed. Bit j of ``misses[p]``
-    says indexed filter j misses p, so ``misses`` is the complement of
-    the filters' transpose. The AND of those masks over an ideal's
-    elements is the set of indexed filters disjoint from it, tested
-    lowest bit (smallest filter) first, so the witness is the first
-    unseparated pair in ideal then filter order.
+    filter, so only the other filters are indexed (none on a full dual).
+    Bit j of ``misses[p]`` says indexed filter j misses p, so ``misses``
+    is the complement of the filters' transpose. The AND of those masks
+    over an ideal's elements is the set of indexed filters disjoint from
+    it, tested lowest bit (smallest filter) first, so the witness is the
+    first unseparated pair in ideal then filter order.
     """
     filters, ideals = closures[0]._concepts, closures[1]._concepts
     points = set(subspace.points)
     rest = [(filt, y) for filt, y in filters if filt not in points]
+    if not rest:
+        return True, None
     everything = (1 << len(rest)) - 1
     columns = _transpose([filt for filt, _ in rest], subspace.poset.n)
     misses = [everything ^ c for c in columns]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Optional
 
-from .bitops import BLOCK, _transpose, and_folds, and_tables, bits, or_table
+from .bitops import BLOCK, _transpose, and_folds, and_table, and_tables, bits, or_table
 from .closure import ClosureOperator, closed_open_family, induced_closures
 from .dualspace import (
     DUAL_POINT_CAP,
@@ -590,29 +590,45 @@ def _packed_cuts(subspace: Subspace):
     return tables, shift
 
 
+def _every_cut(subspace: Subspace):
+    """Every subset's A-filter and A-ideal, in two lists indexed by the
+    subset: one doubling pass over the one-sets, one over the kernels."""
+    carrier, kernels = subspace.poset.full, map(subspace.kernel, range(subspace.size))
+    return and_table(subspace.points, carrier), and_table(kernels, carrier)
+
+
 def _closure_formula_agrees(subspace: Subspace, c1, c2, xs):
     """Compare apply() against the filter/ideal intersection formulas.
 
-    The right-hand sides come from the points' one-sets alone: blocked
-    AND tables give the A-filter and the A-ideal cut out by x, then the
-    intersection of the up-images (lo-images) over them. No table looks
-    at apply() or at which images contain x. One packed fold gives the
-    filter and the ideal together (see ``_packed_cuts``). The tables are
-    folded over a batch of the sequence xs at a time; apply() is still
-    called once per x and closure. The witness is the first failing x in
-    xs.
+    The right-hand sides come from the points' one-sets alone: the
+    A-filter and the A-ideal cut out by x, from ``_every_cut`` when xs is
+    every subset and by one packed fold per batch otherwise (see
+    ``_packed_cuts``), then the intersection of the up-images (lo-images)
+    over them, by blocked AND tables. No table looks at apply() or at
+    which images contain x. The image tables are folded over a batch of
+    xs at a time; apply() is still called once per x and closure. The
+    witness is the first failing x in xs.
     """
     n = subspace.poset.n
-    cuts, shift = _packed_cuts(subspace)
+    every = subspace.size <= _EXHAUSTIVE_LIMIT and xs == range(1 << subspace.size)
+    if every:
+        filters, ideals = _every_cut(subspace)
+    else:
+        cuts, shift = _packed_cuts(subspace)
     ups = and_tables([subspace.up_image(p) for p in range(n)], subspace.all_mask)
     los = and_tables([subspace.lo_image(p) for p in range(n)], subspace.all_mask)
     for start in range(0, len(xs), _BATCH):
-        batch = xs[start : start + _BATCH]
+        span = slice(start, start + _BATCH)
+        batch = xs[span]
         got1 = list(map(c1.apply, batch))
         got2 = list(map(c2.apply, batch))
-        both = and_folds(cuts, batch)
-        want1 = and_folds(ups, both)
-        want2 = and_folds(los, [cut >> shift for cut in both])
+        if every:
+            filt, ideal = filters[span], ideals[span]
+        else:
+            filt = and_folds(cuts, batch)
+            ideal = [cut >> shift for cut in filt]
+        want1 = and_folds(ups, filt)
+        want2 = and_folds(los, ideal)
         if got1 != want1 or got2 != want2:
             rows = zip(batch, got1, want1, got2, want2)
             return False, next(

@@ -143,6 +143,14 @@ def test_apply_rejects_stray_bits():
         c.apply(0b100)
 
 
+@pytest.mark.parametrize("x", [-1, -(1 << 2), ~0b11, 1 << 70])
+def test_apply_rejects_negative_and_wide_arguments(x):
+    c = ClosureOperator(2, [0b01])
+    with pytest.raises(MemberOutOfRange, match="argument has bits outside the carrier"):
+        c.apply(x)
+    assert c.apply(0b10) == 0b11 and c.apply(0b01) == 0b01
+
+
 def test_closed_open_family_needs_matching_carriers():
     with pytest.raises(CarrierMismatch):
         closed_open_family(ClosureOperator(2, []), ClosureOperator(3, []))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from biclosure import (
     ClosureOperator,
+    Subspace,
     antichain,
     boolean_algebra,
     chain,
@@ -24,7 +25,9 @@ import biclosure.represent as represent_module
 from biclosure.bitops import BLOCK, and_folds, and_tables, bits
 from biclosure.represent import (
     _BATCH,
+    _EXHAUSTIVE_LIMIT,
     _closure_formula_agrees,
+    _every_cut,
     _packed_cuts,
     _subset_sample,
 )
@@ -376,6 +379,104 @@ def test_packed_cuts_shift_to_the_block_boundary(poset, shift):
     for space in (star, star.restrict(rng.getrandbits(star.size) | 1)):
         xs = [0, space.all_mask] + [rng.getrandbits(space.size) for _ in range(60)]
         _assert_packed_cuts(space, xs)
+
+
+# --- every subset's cuts, by doubling ------------------------------------------------
+
+
+def _assert_every_cut(space):
+    filters, ideals = _every_cut(space)
+    every = range(1 << space.size)
+    assert filters == [filter_of(space, x) for x in every]
+    assert ideals == [ideal_of(space, x) for x in every]
+
+
+@pytest.mark.parametrize(
+    "poset", [p for p in small_duals if dual_space(p).size <= _EXHAUSTIVE_LIMIT]
+)
+def test_every_cut_matches_filter_of_and_ideal_of(poset):
+    _assert_every_cut(dual_space(poset))
+
+
+@given(st.sampled_from(small_duals), st.data())
+@settings(max_examples=100, deadline=None)
+def test_every_cut_of_a_restriction_matches_filter_of_and_ideal_of(poset, data):
+    star = dual_space(poset)
+    picks = data.draw(
+        st.lists(st.integers(0, star.size - 1), unique=True, max_size=_EXHAUSTIVE_LIMIT)
+    )
+    _assert_every_cut(star.restrict(sum(1 << i for i in picks)))
+
+
+def _no_packed_cuts(subspace):
+    raise AssertionError("the exhaustive check folded the packed cuts")
+
+
+def brute_formulas(space, x):
+    """Both right-hand sides at x, one image at a time from filter_of and
+    ideal_of."""
+    up = [space.up_image(p) for p in bits(filter_of(space, x))]
+    lo = [space.lo_image(p) for p in bits(ideal_of(space, x))]
+    return (
+        reduce(lambda a, b: a & b, up, space.all_mask),
+        reduce(lambda a, b: a & b, lo, space.all_mask),
+    )
+
+
+def _mutants(poset, rng):
+    """Subspaces beside the full dual of poset, each with one point's
+    one-set replaced by another mask (an up-set or not), in place."""
+    star = dual_space(poset)
+    for _ in range(3):
+        i = rng.randrange(star.size)
+        other = rng.choice([s for s in range(poset.full + 1) if s != star.points[i]])
+        points = list(star.points)
+        points[i] = other
+        yield star, Subspace._known(poset, points)
+
+
+@pytest.mark.parametrize(
+    "poset", [p for p in small_duals if dual_space(p).size <= _EXHAUSTIVE_LIMIT]
+)
+def test_a_changed_point_fails_at_the_first_differing_subset(monkeypatch, poset):
+    # the true closures against right-hand sides read off a subspace of
+    # the same size with one point changed: the witness is the first
+    # subset, in range order, whose brute-force formulas differ
+    monkeypatch.setattr(represent_module, "_packed_cuts", _no_packed_cuts)
+    # (a mutant can permute the images, as {2} -> {1} does on chain(3),
+    # and leave every formula as it was; most change some subset's)
+    rng = random.Random(str(poset.up))
+    failed = 0
+    for star, mutant in _mutants(poset, rng):
+        c1, c2 = induced_closures(star)
+        every = range(1 << star.size)
+        assert _closure_formula_agrees(star, c1, c2, every) == (True, None)
+        got = [(c1.apply(x), c2.apply(x)) for x in every]
+        first = next((x for x in every if got[x] != brute_formulas(mutant, x)), None)
+        want = (True, None) if first is None else (False, first)
+        assert _closure_formula_agrees(mutant, c1, c2, every) == want
+        failed += first is not None
+    assert failed >= 2
+
+
+@pytest.mark.parametrize(
+    "poset, index, one_set",
+    [(chain(10), 8, 1017), (chain(11), 8, 2033), (chain(11), 9, 2046)],
+    ids=["m11-second-batch", "m12-second-batch", "m12-third-batch"],
+)
+def test_a_changed_point_fails_past_the_first_batch(monkeypatch, poset, index, one_set):
+    monkeypatch.setattr(represent_module, "_packed_cuts", _no_packed_cuts)
+    star = dual_space(poset)
+    c1, c2 = induced_closures(star)
+    points = list(star.points)
+    points[index] = one_set
+    mutant = Subspace._known(poset, points)
+    every = range(1 << star.size)
+    first = next(
+        x for x in every if (c1.apply(x), c2.apply(x)) != brute_formulas(mutant, x)
+    )
+    assert first >= _BATCH
+    assert _closure_formula_agrees(mutant, c1, c2, every) == (False, first)
 
 
 # --- the subsets the check draws ------------------------------------------------------

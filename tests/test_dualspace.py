@@ -375,6 +375,46 @@ def test_separation_masks_match_the_pair_scan():
     assert unseparated >= 100 and masked >= 100
 
 
+def m_lattice(k):
+    """M_k: k pairwise incomparable atoms between a bottom and a top."""
+    atoms = [f"a{i}" for i in range(k)]
+    covers = [("0", a) for a in atoms] + [(a, "1") for a in atoms]
+    return build_poset(["0", *atoms, "1"], covers)
+
+
+def point_filter_subspaces():
+    """Full duals, each with a restriction closed under nonempty
+    intersection: in both every A-filter is a point of the subspace."""
+    rng = random.Random(13)
+    shapes = catalog_upto5 + [m_lattice(k) for k in (4, 5, 6)] + [antichain(9)]
+    for poset in shapes:
+        star = dual_space(poset)
+        yield star
+        closed = set()
+        for s in rng.sample(star.points, min(star.size, rng.randint(1, 4))):
+            closed |= {s} | {s & t for t in closed}
+        yield Subspace(poset, closed)
+
+
+def test_separation_is_decided_at_once_when_every_filter_is_a_point(monkeypatch):
+    import biclosure.dualspace as dualspace_module
+
+    def unread(*args):
+        raise AssertionError("the filters were transposed")
+
+    for space in point_filter_subspaces():
+        closures = induced_closures(space)
+        filters, ideals = closures[0]._concepts, closures[1]._concepts
+        assert {f for f, _ in filters} <= set(space.points)
+        want = oracles.pair_scan(ideals, filters)
+        one_sets = [frozenset(bits(s)) for s in space.points]
+        assert want == oracles.first_unseparated_pair(one_sets, space.poset.n)
+        assert want == (True, None)
+        with monkeypatch.context() as patch:
+            patch.setattr(dualspace_module, "_transpose", unread)
+            assert _separates(space, closures) == want
+
+
 def nearly_flat():
     # four elements, p0 < p3 the only relation; the smallest shapes are
     # all separating no matter which points are kept, this one is not
