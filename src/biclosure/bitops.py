@@ -5,19 +5,25 @@ iff element i is in the subset. Intersection, union and complement are
 then single word operations, which is what makes the exhaustive sweeps
 elsewhere affordable. ``and_tables`` serves the closure-equation check,
 the selfdual sweep and the orthodual filter; it builds each block's
-table the first time it is read. ``and_folds`` is the one routine that
-folds them, and it takes any such sequence of tables: it shifts each
-subset once per 8-index block when there are at most 16 blocks (every
-fold of the catalog), and above that reads each subset's bytes once,
-which keeps a fold over m points linear in m rather than quadratic. A
-fold that stops early leaves the blocks it skips unbuilt. ``and_table``
-doubles out each block, and every subset's closure-equation cuts;
-``or_table`` is its OR twin; ``_transpose`` turns rows into columns.
+table the first time it is read. ``and_folds`` folds any such sequence
+of tables: it shifts each subset once per 8-index block when there are
+at most 16 blocks (every fold of the catalog), and above that reads each
+subset's bytes once, which keeps a fold over m points linear in m rather
+than quadratic. ``lane_fold`` folds tables whose entries fit in a few
+bytes (the sampled closure-equation cuts of posets with at most 16
+elements): each block is cut into 256-byte ``bytes.translate`` tables,
+one per byte lane, and a batch's subsets are read as byte columns, so a
+block costs a few C calls per lane for the whole batch; ``lane_images``
+reads one table per lane with one ``map`` each. A fold that stops early
+leaves the blocks it skips unbuilt. ``and_table`` doubles out each
+block, and every subset's closure-equation cuts; ``or_table`` is its OR
+twin; ``_transpose`` turns rows into columns.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import and_
 from typing import Iterable, Iterator
 
 
@@ -162,6 +168,55 @@ def and_folds(tables: list, xs) -> list:
         t, shift = tables[j], BLOCK * j
         out = [o & t[x >> shift & _BLOCK_MASK] for o, x in zip(out, xs)]
     return out
+
+
+def lane_fold(tables, lanes: int):
+    """A fold over the sequence ``tables`` (shaped as ``and_tables`` gives
+    them, entries below ``1 << 8 * lanes``) that returns, for a batch xs,
+    ``lanes`` byte strings: byte i of string l is bits 8l to 8l + 7 of the
+    fold of xs[i], as ``and_folds`` would give it.
+
+    Each block's table is cut into ``lanes`` 256-byte ``bytes.translate``
+    tables the first time a fold reads it (a partial block repeats to 256
+    entries, which ignores the bits above it), and kept. A batch's xs are
+    joined once into little-endian rows of ``len(tables)`` bytes, so
+    block k is the strided column of byte k, translated once per lane and
+    ANDed into that lane as one int. Blocks are read from both ends
+    inward, and once every lane is zero the rest are skipped. Every x
+    must be below ``1 << 8 * len(tables)``.
+    """
+    width, cut = len(tables), {}
+
+    def lanes_of(k: int) -> list:
+        t = tables[k]
+        rows = b"".join([v.to_bytes(lanes, "little") for v in t]) * (256 // len(t))
+        cut[k] = out = [rows[lane::lanes] for lane in range(lanes)]
+        return out
+
+    def fold(xs) -> list:
+        rows = b"".join([x.to_bytes(width, "little") for x in xs])
+        out = [-1] * lanes
+        for k in (0, *_outside_in(width)):
+            if not any(out):
+                break
+            column = rows[k::width]
+            out = [
+                o & int.from_bytes(column.translate(lane), "little")
+                for o, lane in zip(out, cut.get(k) or lanes_of(k))
+            ]
+        return [o.to_bytes(len(xs), "little") for o in out]
+
+    return fold
+
+
+def lane_images(tables, lanes) -> list:
+    """The AND over l of ``tables[l][lanes[l][i]]`` for each i: one ``map``
+    per table over its lane, as bytes from ``lane_fold`` or as ints below
+    256."""
+    out = map(tables[0].__getitem__, lanes[0])
+    for t, lane in zip(tables[1:], lanes[1:]):
+        out = map(and_, out, map(t.__getitem__, lane))
+    return list(out)
 
 
 # above this many tables (8 * _WIDE indices) and_folds reads each x's

@@ -23,7 +23,17 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Optional
 
-from .bitops import BLOCK, _transpose, and_folds, and_table, and_tables, bits, or_table
+from .bitops import (
+    BLOCK,
+    _transpose,
+    and_folds,
+    and_table,
+    and_tables,
+    bits,
+    lane_fold,
+    lane_images,
+    or_table,
+)
 from .closure import ClosureOperator, closed_open_family, induced_closures
 from .dualspace import (
     DUAL_POINT_CAP,
@@ -601,22 +611,31 @@ def _closure_formula_agrees(subspace: Subspace, c1, c2, xs):
     """Compare apply() against the filter/ideal intersection formulas.
 
     The right-hand sides come from the points' one-sets alone: the
-    A-filter and the A-ideal cut out by x, from ``_every_cut`` when xs is
-    every subset and by one packed fold per batch otherwise (see
-    ``_packed_cuts``), then the intersection of the up-images (lo-images)
-    over them, by blocked AND tables. No table looks at apply() or at
-    which images contain x. The image tables are folded over a batch of
-    xs at a time; apply() is still called once per x and closure. The
-    witness is the first failing x in xs.
+    A-filter and the A-ideal cut out by x, then the intersection of the
+    up-images (lo-images) over them, by blocked AND tables. When xs is
+    every subset the cuts come from ``_every_cut``; otherwise one fold of
+    ``_packed_cuts`` per batch gives both. Up to 16 poset elements that
+    fold is ``lane_fold``'s: its byte lanes, one per 8 elements of a cut,
+    index the image blocks, each read with one ``map`` (``lane_images``),
+    and an exhaustive batch's cuts are read so as one lane when n <= 8.
+    Otherwise the folds are ``and_folds``'s. No table looks at
+    apply() or at which images contain x. The tables are read over a
+    batch of xs at a time; apply() is still called once per x and
+    closure. The witness is the first failing x in xs.
     """
     n = subspace.poset.n
     every = subspace.size <= _EXHAUSTIVE_LIMIT and xs == range(1 << subspace.size)
-    if every:
-        filters, ideals = _every_cut(subspace)
-    else:
-        cuts, shift = _packed_cuts(subspace)
     ups = and_tables([subspace.up_image(p) for p in range(n)], subspace.all_mask)
     los = and_tables([subspace.lo_image(p) for p in range(n)], subspace.all_mask)
+    lanes = len(ups)
+    if every:
+        filters, ideals = _every_cut(subspace)
+        laned = lanes == 1
+    else:
+        cuts, shift = _packed_cuts(subspace)
+        laned = n <= 2 * BLOCK
+        fold = lane_fold(cuts, 2 * lanes) if laned else None
+    read = lane_images if laned else and_folds
     for start in range(0, len(xs), _BATCH):
         span = slice(start, start + _BATCH)
         batch = xs[span]
@@ -624,11 +643,16 @@ def _closure_formula_agrees(subspace: Subspace, c1, c2, xs):
         got2 = list(map(c2.apply, batch))
         if every:
             filt, ideal = filters[span], ideals[span]
+            if laned:
+                filt, ideal = [filt], [ideal]
+        elif laned:
+            cut = fold(batch)
+            filt, ideal = cut[:lanes], cut[lanes:]
         else:
             filt = and_folds(cuts, batch)
             ideal = [cut >> shift for cut in filt]
-        want1 = and_folds(ups, filt)
-        want2 = and_folds(los, ideal)
+        want1 = read(ups, filt)
+        want2 = read(los, ideal)
         if got1 != want1 or got2 != want2:
             rows = zip(batch, got1, want1, got2, want2)
             return False, next(

@@ -22,7 +22,7 @@ from biclosure import (
     induced_closures,
 )
 import biclosure.represent as represent_module
-from biclosure.bitops import BLOCK, and_folds, and_tables, bits
+from biclosure.bitops import BLOCK, and_folds, and_tables, bits, lane_fold, lane_images
 from biclosure.represent import (
     _BATCH,
     _EXHAUSTIVE_LIMIT,
@@ -141,46 +141,37 @@ def test_a_fold_that_stops_early_builds_only_the_blocks_it_reads():
     assert log == [0, 2, 1]
 
 
-class _Reads:
-    """Tables that record the index of every block read from them."""
-
-    def __init__(self, tables, read):
-        self.tables, self.read = tables, read
-
-    def __len__(self):
-        return len(self.tables)
-
-    def __getitem__(self, j):
-        self.read.add(j % len(self.tables))
-        return self.tables[j]
+def _no_and_folds(tables, xs):
+    raise AssertionError("the lane path folded with and_folds")
 
 
-def test_closure_equations_build_only_the_cut_blocks_they_read(monkeypatch):
-    # antichain(9)'s packed cuts fold to zero from both ends: of the 64
-    # blocks over its 512 points only the outer ones are read, so built
-    star = dual_space(antichain(9))
+@pytest.mark.parametrize(
+    "poset, blocks, built",
+    [(antichain(9), 64, [0, 1, 62, 63]), (boolean_algebra(4), 21, list(range(21)))],
+    ids=["antichain9", "boolean4"],
+)
+def test_lane_fold_builds_only_the_cut_blocks_it_reads(monkeypatch, poset, blocks, built):
+    # antichain(9)'s cuts fold to zero from both ends, so of the 64 blocks
+    # over its 512 points only the outer ones are built; boolean_algebra(4)
+    # keeps its constant point out of most subsets, so all 21 are
+    star = dual_space(poset)
     c1, c2 = induced_closures(star)
     made = []
 
     def logged_tables(masks, seed):
-        built = []
-        tables = and_tables(_SliceLog(masks, built), seed)
-        made.append((tables, built, set()))
+        log = []
+        tables = and_tables(_SliceLog(masks, log), seed)
+        made.append((tables, log))
         return tables
 
-    def logged_folds(tables, xs):
-        (read,) = [read for t, _, read in made if t is tables]
-        return and_folds(_Reads(tables, read), xs)
-
     monkeypatch.setattr(represent_module, "and_tables", logged_tables)
-    monkeypatch.setattr(represent_module, "and_folds", logged_folds)
+    monkeypatch.setattr(represent_module, "and_folds", _no_and_folds)
     xs = _subset_sample(star.size)
     assert _closure_formula_agrees(star, c1, c2, xs) == (True, None)
-    (cuts, built, read), *images = made
-    assert len(cuts) == 64 and len(images) == 2
-    assert sorted(built) == sorted(read) and len(built) == 4
-    for _, built, read in images:
-        assert sorted(built) == sorted(read)
+    (cuts,) = [log for tables, log in made if len(tables) == blocks]
+    assert sorted(cuts) == built
+    images = [log for tables, log in made if len(tables) != blocks]
+    assert [sorted(log) for log in images] == [[0, 1], [0, 1]]
 
 
 def eager_tables(masks, seed):
@@ -477,6 +468,169 @@ def test_a_changed_point_fails_past_the_first_batch(monkeypatch, poset, index, o
     )
     assert first >= _BATCH
     assert _closure_formula_agrees(mutant, c1, c2, every) == (False, first)
+
+
+# --- the lane fold: sampled cuts up to 16 elements ---------------------------------
+
+
+class _Brute:
+    """A closure whose apply() is one side of ``brute_formulas``, so the
+    check passes exactly where its right-hand sides are the brute ones."""
+
+    def __init__(self, space, side):
+        self.space, self.side = space, side
+
+    def apply(self, x):
+        return brute_formulas(self.space, x)[self.side]
+
+
+def _whole(lanes):
+    """Each x's value from its byte in every lane, lane 0 lowest."""
+    return [int.from_bytes(bytes(row), "little") for row in zip(*lanes)]
+
+
+def _assert_lane_cuts(space, xs):
+    """The lane fold of the packed table gives filter_of(x) in its low
+    lanes and ideal_of(x) in its high ones; the image tables read from
+    those lanes give both brute-force right-hand sides, and so does the
+    check on the sampled path."""
+    n = space.poset.n
+    tables, shift = _packed_cuts(space)
+    lanes = shift // BLOCK
+    cut = lane_fold(tables, 2 * lanes)(xs)
+    assert [len(lane) for lane in cut] == [len(xs)] * 2 * lanes
+    assert _whole(cut[:lanes]) == [filter_of(space, x) for x in xs]
+    assert _whole(cut[lanes:]) == [ideal_of(space, x) for x in xs]
+    ups = and_tables([space.up_image(p) for p in range(n)], space.all_mask)
+    los = and_tables([space.lo_image(p) for p in range(n)], space.all_mask)
+    got = zip(lane_images(ups, cut[:lanes]), lane_images(los, cut[lanes:]))
+    assert list(got) == [brute_formulas(space, x) for x in xs]
+    brute = _Brute(space, 0), _Brute(space, 1)
+    assert _closure_formula_agrees(space, *brute, list(xs)) == (True, None)
+
+
+lane_duals = [p for p in small_duals if p.n <= 2 * BLOCK] + [boolean_algebra(4)]
+
+
+@given(st.sampled_from(lane_duals), st.data())
+@settings(max_examples=150, deadline=None)
+def test_lane_fold_matches_filter_of_ideal_of_and_the_formulas(poset, data):
+    star = dual_space(poset)
+    space = star.restrict(data.draw(st.integers(1, star.all_mask)))
+    xs = data.draw(
+        st.lists(
+            st.integers(0, space.all_mask) | st.sampled_from((0, space.all_mask)),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(represent_module, "and_folds", _no_and_folds)
+        _assert_lane_cuts(space, xs)
+
+
+@pytest.mark.parametrize(
+    "poset, lanes",
+    [
+        (antichain(4), 1),  # 16 points: two whole blocks
+        (chain(6), 1),  # 7 points: one partial block
+        (chain(12), 2),  # 13 points: a partial last block
+        (chain(16), 2),  # 17 points, n = 16: the last n on the lane path
+        (boolean_algebra(4), 2),  # 168 points: 21 whole blocks
+    ],
+    ids=["ac4", "chain6", "chain12", "chain16", "ba4"],
+)
+def test_lane_fold_on_one_and_two_lanes(monkeypatch, poset, lanes):
+    monkeypatch.setattr(represent_module, "and_folds", _no_and_folds)
+    star = dual_space(poset)
+    assert _packed_cuts(star)[1] == BLOCK * lanes
+    rng = random.Random(poset.n)
+    for space in (star, star.restrict(rng.getrandbits(star.size) | 1)):
+        xs = [0, space.all_mask] + [rng.getrandbits(space.size) for _ in range(300)]
+        _assert_lane_cuts(space, xs)
+
+
+@pytest.mark.parametrize(
+    "poset, laned", [(chain(16), True), (chain(17), False)], ids=["n16", "n17"]
+)
+def test_sampled_check_folds_lanes_up_to_sixteen_elements(monkeypatch, poset, laned):
+    folds = []
+
+    def logged(tables, lanes):
+        folds.append(lanes)
+        return lane_fold(tables, lanes)
+
+    monkeypatch.setattr(represent_module, "lane_fold", logged)
+    if laned:
+        monkeypatch.setattr(represent_module, "and_folds", _no_and_folds)
+    star = dual_space(poset)
+    xs = _subset_sample(star.size)
+    assert len(xs) == 2048
+    brute = _Brute(star, 0), _Brute(star, 1)
+    assert _closure_formula_agrees(star, *brute, xs) == (True, None)
+    assert _closure_formula_agrees(star, *induced_closures(star), xs) == (True, None)
+    assert folds == ([4, 4] if laned else [])
+
+
+def _no_lane_fold(tables, lanes):
+    raise AssertionError("the packed path folded by lanes")
+
+
+def _pin_path(monkeypatch, poset):
+    """Make the sampled check fail if it folds by the path that poset's
+    size does not take."""
+    if poset.n <= 2 * BLOCK:
+        monkeypatch.setattr(represent_module, "and_folds", _no_and_folds)
+    else:
+        monkeypatch.setattr(represent_module, "lane_fold", _no_lane_fold)
+
+
+@pytest.mark.parametrize(
+    "poset, index, one_set",
+    [
+        (chain(13), None, None),
+        (chain(20), None, None),
+        (chain(13), 8, 8096),
+        (chain(13), 13, 8127),
+        (chain(20), 0, 2048),
+        (chain(20), 1, 526336),
+    ],
+    ids=["lanes", "packed", "lanes-b2", "lanes-b2b", "packed-b3", "packed-b8"],
+)
+def test_a_changed_point_fails_at_the_first_differing_sampled_subset(
+    monkeypatch, poset, index, one_set
+):
+    # the true closures against right-hand sides read off the full dual
+    # with one point's one-set changed: the witness is the first subset,
+    # in sample order, whose brute-force formulas differ; the named
+    # changes first differ past the first batch (in the batch named)
+    _pin_path(monkeypatch, poset)
+    star = dual_space(poset)
+    c1, c2 = induced_closures(star)
+    xs = _subset_sample(star.size)
+    assert _closure_formula_agrees(star, c1, c2, xs) == (True, None)
+    got = [(c1.apply(x), c2.apply(x)) for x in xs]
+    rng = random.Random(str(poset.up))
+    changes = [(index, one_set)] if index is not None else []
+    while len(changes) < 3:
+        i, other = rng.randrange(star.size), rng.randrange(poset.full + 1)
+        if other != star.points[i]:
+            changes.append((i, other))
+    failed = 0
+    for i, other in changes:
+        points = list(star.points)
+        points[i] = other
+        mutant = Subspace._known(poset, points)
+        first = next(
+            (t for t, x in enumerate(xs) if got[t] != brute_formulas(mutant, x)), None
+        )
+        want = (True, None) if first is None else (False, xs[first])
+        assert _closure_formula_agrees(mutant, c1, c2, xs) == want
+        failed += first is not None
+        if index is not None:
+            assert first >= _BATCH
+            break
+    assert failed >= (1 if index is not None else 2)
 
 
 # --- the subsets the check draws ------------------------------------------------------
