@@ -7,17 +7,20 @@ elsewhere affordable. ``and_tables`` serves the closure-equation check,
 the selfdual sweep and the orthodual filter; it builds each block's
 table the first time it is read. ``and_folds`` folds any such sequence
 of tables: it shifts each subset once per 8-index block when there are
-at most 16 blocks (every fold of the catalog), and above that reads each
-subset's bytes once, which keeps a fold over m points linear in m rather
-than quadratic. ``lane_fold`` folds tables whose entries fit in a few
-bytes (the sampled closure-equation cuts of posets with at most 16
-elements): each block is cut into 256-byte ``bytes.translate`` tables,
-one per byte lane, and a batch's subsets are read as byte columns, so a
-block costs a few C calls per lane for the whole batch; ``lane_images``
-reads one table per lane with one ``map`` each. A fold that stops early
+at most 16 blocks (each fold of the catalog and of the benchmark's
+frontier workload has one or two), and above that reads each subset's
+bytes once, which keeps a fold over m points linear in m rather than
+quadratic. ``lane_fold`` folds tables whose entries fit in a few bytes
+(the sampled closure-equation cuts of posets with at most 16 elements):
+each block is cut into 256-byte ``bytes.translate`` tables, one per byte
+lane, and a batch's subsets are read as byte columns, so a block costs
+a few C calls per lane for the whole batch; ``lane_images`` reads one
+table per lane with one ``map`` each. A fold that stops early
 leaves the blocks it skips unbuilt. ``and_table`` doubles out each
 block, and every subset's closure-equation cuts; ``or_table`` is its OR
-twin; ``_transpose`` turns rows into columns.
+twin, and ``or_rows`` ORs, for each bit row, the rows its bits index
+through one ``or_table`` per block of 8 rows, which is how an order is
+validated and its covers read; ``_transpose`` turns rows into columns.
 """
 
 from __future__ import annotations
@@ -79,6 +82,18 @@ def or_table(masks) -> list:
 
 BLOCK = 8
 _BLOCK_MASK = (1 << BLOCK) - 1
+
+
+def or_rows(rows) -> list:
+    """Entry i is the OR of rows[j] over the set bits j of rows[i]: one
+    ``or_table`` per block of 8 rows and one lookup in it per row (the
+    method of the Four Russians, as in ``and_tables``). Every row must be
+    below ``1 << len(rows)``."""
+    out = [0] * len(rows)
+    for k in range(0, len(rows), BLOCK):
+        table = or_table(rows[k : k + BLOCK])
+        out = [o | table[r >> k & _BLOCK_MASK] for o, r in zip(out, rows)]
+    return out
 
 
 def and_tables(masks, seed: int) -> _AndTables:
@@ -220,7 +235,10 @@ def lane_images(tables, lanes) -> list:
 
 
 # above this many tables (8 * _WIDE indices) and_folds reads each x's
-# bytes once; at or below it, one shift per block is cheaper
+# bytes once. One shift per block is cheaper at one or two tables, but
+# not from about four on: over 256 subsets with every block read, 7 vs
+# 41 us at one table, 26 vs 70 us at two and 116 vs 90 us at five (shift
+# vs bytes, 2-CPU x86-64 VM, Python 3.11), so 16 is above the crossover
 _WIDE = 16
 
 

@@ -249,11 +249,10 @@ def generated_filter(subspace: Subspace, subset: int) -> Hull:
 def _fullness_witnesses(subspace: Subspace):
     """(p, q, indices of the points holding p but not q) over the
     non-relations p <= q, p outer and q inner."""
-    poset = subspace.poset
-    for p in range(poset.n):
-        for q in range(poset.n):
-            if not poset.leq(p, q):
-                yield p, q, subspace.up_image(p) & ~subspace.up_image(q)
+    poset, images = subspace.poset, subspace._up_images
+    for p, row in enumerate(poset.up):
+        for q in bits(poset.full ^ row):
+            yield p, q, images[p] & ~images[q]
 
 
 def is_full(subspace: Subspace):

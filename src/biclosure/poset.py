@@ -20,7 +20,7 @@ from functools import cached_property, reduce
 from itertools import islice
 from operator import or_
 
-from .bitops import _transpose, bits, mask_of
+from .bitops import _transpose, bits, mask_of, or_rows
 from .errors import (
     BoundExceeded,
     CycleError,
@@ -52,15 +52,17 @@ class Poset:
                 raise MemberOutOfRange(f"up[{i}] has bits outside the carrier")
             if not row >> i & 1:
                 raise ValueError(f"order not reflexive at {self.labels[i]}")
-        for i in range(self.n):
-            reach = 0
-            for j in bits(self.up[i]):
-                reach |= self.up[j]
-                if j != i and self.up[j] >> i & 1:
-                    raise ValueError(
-                        f"order not antisymmetric: {self.labels[i]} and {self.labels[j]}"
-                    )
-            if reach != self.up[i]:
+        # the lowest other j both above and below i breaks antisymmetry;
+        # reach[i], everything above something above i, is i's row again
+        # when the order is transitive
+        reach = or_rows(self.up)
+        for i, (row, col) in enumerate(zip(self.up, self.down)):
+            j = next(bits(row & col ^ 1 << i), None)
+            if j is not None:
+                raise ValueError(
+                    f"order not antisymmetric: {self.labels[i]} and {self.labels[j]}"
+                )
+            if reach[i] != row:
                 raise ValueError(f"order not transitive at {self.labels[i]}")
 
     # --- basic queries ----------------------------------------------------
@@ -91,9 +93,7 @@ class Poset:
         """covers[i] is the mask of elements covering i (immediate successors):
         the strict up-row of i less everything strictly above one of them."""
         strict = [row & ~(1 << i) for i, row in enumerate(self.up)]
-        return tuple(
-            row & ~reduce(or_, [strict[j] for j in bits(row)], 0) for row in strict
-        )
+        return tuple(row & ~above for row, above in zip(strict, or_rows(strict)))
 
     def _spanning(self, rows):
         """The element whose row is the whole carrier (bottom in up, top in down)."""
@@ -224,12 +224,12 @@ def build_poset(labels, pairs) -> Poset:
         for i in range(n):
             if up[i] >> k & 1:
                 up[i] |= up[k]
-    for i in range(n):
-        for j in bits(up[i]):
-            if j != i and up[j] >> i & 1:
-                raise CycleError(
-                    f"assertions force {labels[i]} <= {labels[j]} <= {labels[i]}"
-                )
+    for i, (row, col) in enumerate(zip(up, _transpose(up, n))):
+        j = next(bits(row & col ^ 1 << i), None)
+        if j is not None:
+            raise CycleError(
+                f"assertions force {labels[i]} <= {labels[j]} <= {labels[i]}"
+            )
     return Poset(labels, up)
 
 

@@ -142,7 +142,6 @@ def _read(poset: Poset, subspace: Subspace):
     if subspace.poset != poset:
         raise ValueError("subspace is over a different poset")
     c1, c2 = induced_closures(subspace)
-    n = poset.n
     table = subspace._up_images
     family = closed_open_family(c1, c2)
     witnesses: dict = {}
@@ -157,13 +156,14 @@ def _read(poset: Poset, subspace: Subspace):
 
     # p <= q with table[p] outside table[q] breaks isotony; an earlier q
     # with the same image breaks injectivity
-    for p in range(n):
-        row = poset.up[p]
-        for q in range(n):
-            if row >> q & 1 and table[p] & ~table[q]:
-                witnesses.setdefault("isotone", (labels[p], labels[q]))
-            if q < p and table[q] == table[p]:
-                witnesses.setdefault("injective", (labels[q], labels[p]))
+    first: dict = {}
+    for p, row in enumerate(poset.up):
+        q = next((q for q in bits(row) if table[p] & ~table[q]), None)
+        if q is not None:
+            witnesses.setdefault("isotone", (labels[p], labels[q]))
+        q = first.setdefault(table[p], p)
+        if q != p:
+            witnesses.setdefault("injective", (labels[q], labels[p]))
     isotone = "isotone" not in witnesses
     injective = "injective" not in witnesses
 
@@ -728,9 +728,17 @@ def _general(ctx: _Context):
     ok, x = _closure_formula_agrees(star, c1, c2, _subset_sample(star.size))
     yield "closure-equations", ok, None if ok else {"subset": sorted(bits(x))}
 
+    # the cone hypothesis alone forces fullness: were p <= q false with no
+    # point holding p but not q, q would lie in both the ideal generated by
+    # q and the filter generated by p. So the separating conjunct never
+    # changes the verdict, and the check fails only when is_full and the
+    # generated hulls disagree; it stays to state the paper's hypothesis
     downs, ups = _cones(star)
-    n = range(poset.n)
-    hyp = not any(downs[p] & ups[q] for p in n for q in n if not poset.leq(q, p))
+    hyp = not any(
+        downs[p] & ups[q]
+        for p, col in enumerate(poset.down)
+        for q in bits(poset.full ^ col)
+    )
     witness = {"separating": rep.separating, "cones_disjoint": hyp, "full": rep.full}
     yield "separating-cone-fullness", not (rep.separating and hyp) or rep.full, witness
 

@@ -9,6 +9,7 @@ purpose; meant for small carriers only.
 
 import itertools
 from functools import reduce
+from operator import or_
 
 
 # --- order primitives ----------------------------------------------------------
@@ -32,6 +33,66 @@ def naive_join(n, leq, a, b):
     upper = [z for z in range(n) if leq(a, z) and leq(b, z)]
     bottoms = [z for z in upper if all(leq(z, w) for w in upper)]
     return bottoms[0] if len(bottoms) == 1 else None
+
+
+# --- order validation --------------------------------------------------------------
+# The per-element loops that validated an order, listed its covers and
+# scanned build_poset's closure for a cycle before those read the rows
+# through bitops.or_rows and the up & down identity; kept as the
+# references they are pinned against.
+
+
+def order_axioms_error(labels, up):
+    """The first error ``Poset(labels, up)`` should raise, as (exception
+    class name, message), or None: range and reflexivity on every row
+    first, then per element, in index order, antisymmetry (its lowest
+    other j with i <= j <= i) before transitivity (the OR of the rows
+    above i must be i's row)."""
+    n = len(up)
+    full = (1 << n) - 1
+    for i, row in enumerate(up):
+        if row & ~full:
+            return "MemberOutOfRange", f"up[{i}] has bits outside the carrier"
+        if not row >> i & 1:
+            return "ValueError", f"order not reflexive at {labels[i]}"
+    for i in range(n):
+        reach = 0
+        for j in range(n):
+            if not up[i] >> j & 1:
+                continue
+            reach |= up[j]
+            if j != i and up[j] >> i & 1:
+                return (
+                    "ValueError",
+                    f"order not antisymmetric: {labels[i]} and {labels[j]}",
+                )
+        if reach != up[i]:
+            return "ValueError", f"order not transitive at {labels[i]}"
+    return None
+
+
+def loop_covers(up):
+    """Per element, its strict up-row less the strict up-row of every
+    element in it."""
+    strict = [row & ~(1 << i) for i, row in enumerate(up)]
+    return tuple(
+        row & ~reduce(or_, [strict[j] for j in range(len(up)) if row >> j & 1], 0)
+        for row in strict
+    )
+
+
+def cycle_pair(n, pairs):
+    """The (i, j) that build_poset's CycleError names for the index
+    assertions ``pairs`` on n elements, or None: the reflexive transitive
+    closure as a set of pairs grown to a fixed point, then the first i
+    with some other j both above and below it, j the lowest."""
+    le = {(i, i) for i in range(n)} | set(pairs)
+    while more := {(a, d) for a, b in le for c, d in le if b == c} - le:
+        le |= more
+    return next(
+        ((i, j) for i in range(n) for j in range(n) if i != j and {(i, j), (j, i)} <= le),
+        None,
+    )
 
 
 # --- dual space ------------------------------------------------------------------

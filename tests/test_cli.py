@@ -369,6 +369,17 @@ def test_unknown_label_is_usage_error(capsys):
     assert code == 2
 
 
+def test_cycle_is_usage_error_naming_the_pair(capsys):
+    cycle = json.dumps(
+        {"elements": ["x", "y", "z"], "le": [["x", "y"], ["y", "z"], ["z", "x"]]}
+    )
+    for verb in ("dual", "check"):
+        code, out, err = run(capsys, verb, cycle)
+        assert code == 2
+        assert out == ""
+        assert err == "error: assertions force x <= y <= x\n"
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "dual", "does-not-exist.json")
     assert code == 2

@@ -26,6 +26,8 @@ from biclosure import (
     enumerate_posets,
     filters_wrt,
     find_orthocomplementations,
+    generated_filter,
+    generated_ideal,
     ideals_wrt,
     induced_closures,
     induced_orthocomplementation,
@@ -1157,6 +1159,37 @@ def test_separating_dual_called_not_full_fails_cone_fullness(monkeypatch, vee):
     assert not check.passed
     assert check.witness == {"separating": True, "cones_disjoint": True, "full": False}
     assert not checks["dual-full-separating"].passed
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(small_catalog + enumerate_posets(5)), st.data())
+def test_disjoint_cones_force_fullness(p, data):
+    # were a <= b false with no point holding a but not b, b would lie in
+    # the ideal generated by b and the filter generated by a: so the cone
+    # hypothesis alone gives fullness, and separating-cone-fullness passes
+    # whatever the separating flag reads
+    star = dual_space(p)
+    sub = star.restrict(data.draw(st.integers(0, star.all_mask)))
+    n = range(p.n)
+    downs = [generated_ideal(sub, 1 << a).subset for a in n]
+    ups = [generated_filter(sub, 1 << a).subset for a in n]
+    if not any(downs[a] & ups[b] for a in n for b in n if not p.leq(b, a)):
+        one_sets = [set(bits(s)) for s in sub.points]
+        assert oracles.brute_is_full(one_sets, p.n, oracles.leq_fn(p))
+        assert is_full(sub)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(small_catalog), st.data())
+def test_fullness_witnesses_walk_the_non_relations_in_pair_order(p, data):
+    star = dual_space(p)
+    sub = star.restrict(data.draw(st.integers(0, star.all_mask)))
+    assert list(_fullness_witnesses(sub)) == [
+        (a, b, sub.up_image(a) & ~sub.up_image(b))
+        for a in range(p.n)
+        for b in range(p.n)
+        if not p.leq(a, b)
+    ]
 
 
 def test_wrong_coincidence_fails_the_boolean_equivalence(monkeypatch, b4):
