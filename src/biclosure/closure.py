@@ -24,12 +24,26 @@ are sorted from it. So an induced pair carries its own A-filters and
 A-ideals, each with the points it cuts, and the separation test and a
 report's readers take them from the pair. The sorted ``closed_family``
 and ``base`` are built only when read.
+
+``apply`` is the definition, the AND of the generators holding x, but
+it reads them down their inclusion forest: each distinct generator hangs
+under a strict superset, and one that misses x rules out every
+generator below it. The union of the generators stands over the roots,
+and is tested with the carrier bound: a set outside it costs that one
+test. Otherwise the roots alone are tried until one holds x, so a set
+no generator holds, most subsets in the closure-equation check, costs a
+pass over the roots at most; on an antichain every generator is a root
+and the pass is the flat loop. The forest is built from tests of
+generators against each other, at most ``_PARENT_TESTS`` per generator,
+on the first ``apply`` that reaches the roots; ``is_exact`` reads the
+generators' AND, so construction, equality, hashing and the report
+never build it.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, reduce
-from operator import or_
+from operator import and_, or_
 
 from .errors import CarrierMismatch, MemberOutOfRange
 from .poset import SubsetFamily
@@ -39,8 +53,10 @@ class ClosureOperator:
     """Closure on {0..m-1} whose closed sets are intersections of a base.
 
     The generators are held once, in the order given, and ``apply``
-    reads only them; the closed sets with their intents (bit i for the
-    i-th generator), and all that is read off them, are built on first use.
+    reads only them, down their inclusion forest, planted when first
+    needed;
+    the closed sets with their intents (bit i for the i-th generator),
+    and all that is read off them, are built on first use.
     """
 
     def __init__(self, m: int, base):
@@ -50,9 +66,14 @@ class ClosureOperator:
         self.full = (1 << m) - 1
         self._outside = ~self.full
         self._generators = tuple(base)
-        if reduce(or_, self._generators, 0) & self._outside:
+        union = reduce(or_, self._generators, 0)
+        if union & self._outside:
             x = min(b for b in self._generators if b & self._outside)
             raise MemberOutOfRange(f"member {x:#x} exceeds carrier of size {m}")
+        # a set with bits here lies in no generator, or outside the carrier
+        self._beyond = ~union
+        # the inclusion forest apply() walks, planted on its first call
+        self._roots = self._walk = self._starts = None
 
     @cached_property
     def _intents(self) -> dict:
@@ -91,21 +112,50 @@ class ClosureOperator:
         return SubsetFamily(self.m, self._intents)
 
     def apply(self, x: int) -> int:
-        """Smallest closed superset of x."""
-        if x & self._outside:
-            raise MemberOutOfRange("argument has bits outside the carrier")
-        out = self.full
-        for b in self._generators:
+        """Smallest closed superset of x: the AND of the generators
+        holding it, read down their inclusion forest. Outside their
+        union x is held by none; inside it the roots are tried in turn,
+        and from the first that holds x the preorder walk goes on to the
+        end, where a generator that misses x skips its subtree, whose
+        members all lie inside it."""
+        if x & self._beyond:
+            if x & self._outside:
+                raise MemberOutOfRange("argument has bits outside the carrier")
+            return self.full
+        roots = self._roots
+        if roots is None:
+            roots = self._plant()
+        for b in roots:
+            if x & b == x:
+                break
+        else:
+            return self.full
+        walk = self._walk
+        stop = len(walk)
+        i = self._starts[b] + 1
+        out = b
+        while i < stop:
+            b, end = walk[i]
             if x & b == x:
                 out &= b
+                i += 1
+            else:
+                i = end
         return out
+
+    def _plant(self) -> tuple:
+        """Build the forest ``apply`` walks, on its first call."""
+        self._walk, self._starts = _forest(self._generators)
+        self._roots = tuple(self._starts)
+        return self._roots
 
     def is_closed(self, x: int) -> bool:
         return self.apply(x) == x
 
     def is_exact(self) -> bool:
-        """Is the empty set closed?"""
-        return self.apply(0) == 0
+        """Is the empty set closed? It lies in every generator, so its
+        closure is their AND."""
+        return reduce(and_, self._generators, self.full) == 0
 
     def is_topological(self) -> bool:
         """Is the union of closed sets closed?
@@ -134,6 +184,54 @@ class ClosureOperator:
 
     def __repr__(self):
         return f"ClosureOperator(m={self.m}, base of {len(self.base)})"
+
+
+# tests per generator while looking for a strict superset to hang it
+# under; one with none found in this many becomes a root
+_PARENT_TESTS = 32
+
+
+def _forest(generators) -> tuple:
+    """The distinct generators as an inclusion forest, in preorder.
+
+    Taken by popcount, largest first, each generator hangs under the
+    first strict superset among the ``_PARENT_TESTS`` placed just before
+    it, which has the fewest elements of those, so is minimal among
+    them; with none it is a root. Returns (walk, starts): walk holds
+    (b, end) per generator, end being the index just past b's subtree,
+    and starts maps each root to its index. Only generators are tested,
+    against each other and at most ``_PARENT_TESTS`` times each, so the
+    build is linear in their count.
+    """
+    order = sorted(dict.fromkeys(generators), key=int.bit_count, reverse=True)
+    parent = [-1] * len(order)
+    for k, b in enumerate(order):
+        for j in range(k - 1, max(k - _PARENT_TESTS, 0) - 1, -1):
+            if b & order[j] == b:
+                parent[k] = j
+                break
+    size = [1] * len(order)
+    for k in range(len(order) - 1, -1, -1):
+        if parent[k] >= 0:
+            size[parent[k]] += size[k]
+    # a generator is placed after its parent, so its slot is known: a
+    # root opens the next free block, a child takes the next free slot
+    # below its parent
+    walk = [None] * len(order)
+    free = [0] * len(order)
+    starts: dict = {}
+    top = 0
+    for k, b in enumerate(order):
+        j = parent[k]
+        if j < 0:
+            i = starts[b] = top
+            top += size[k]
+        else:
+            i = free[j]
+            free[j] += size[k]
+        free[k] = i + 1
+        walk[i] = (b, i + size[k])
+    return walk, starts
 
 
 def clopen_sets(c: ClosureOperator) -> SubsetFamily:

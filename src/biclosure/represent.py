@@ -154,17 +154,26 @@ def _read(poset: Poset, subspace: Subspace):
         pair = (labels[full_wit[0]], labels[full_wit[1]])
         witnesses["order_reflecting"] = witnesses["full"] = pair
 
-    # p <= q with table[p] outside table[q] breaks isotony; an earlier q
-    # with the same image breaks injectivity
+    # p <= q with table[p] outside table[q] breaks isotony. Inclusion is
+    # transitive, so the covering pairs decide it; only when one fails
+    # are the rows scanned, for the first such (p, q) in row order
+    isotone = not any(
+        table[p] & ~table[q] for p, row in enumerate(poset.covers) for q in bits(row)
+    )
+    if not isotone:
+        witnesses["isotone"] = next(
+            (labels[p], labels[q])
+            for p, row in enumerate(poset.up)
+            for q in bits(row)
+            if table[p] & ~table[q]
+        )
+    # an earlier p with the same image breaks injectivity
     first: dict = {}
-    for p, row in enumerate(poset.up):
-        q = next((q for q in bits(row) if table[p] & ~table[q]), None)
-        if q is not None:
-            witnesses.setdefault("isotone", (labels[p], labels[q]))
-        q = first.setdefault(table[p], p)
-        if q != p:
-            witnesses.setdefault("injective", (labels[q], labels[p]))
-    isotone = "isotone" not in witnesses
+    for q, image in enumerate(table):
+        p = first.setdefault(image, q)
+        if p != q:
+            witnesses["injective"] = (labels[p], labels[q])
+            break
     injective = "injective" not in witnesses
 
     in_family = set(family)

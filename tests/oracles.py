@@ -276,6 +276,22 @@ def brute_order_flags(point_one_sets, n, leq):
     }
 
 
+def row_scan_isotony(up, table):
+    """The first (p, q) in row order with p <= q and table[p] outside
+    table[q], or None: every relation of every up-row tested, as the
+    report read isotony before the covering pairs decided it."""
+    n = len(up)
+    return next(
+        (
+            (p, q)
+            for p, row in enumerate(up)
+            for q in range(n)
+            if row >> q & 1 and table[p] & ~table[q]
+        ),
+        None,
+    )
+
+
 # --- closures ----------------------------------------------------------------------
 
 
@@ -305,6 +321,17 @@ def brute_closure_apply(m, base_sets, x):
     family = brute_closed_family(m, base_sets)
     candidates = [c for c in family if set(x) <= c]
     return frozenset(reduce(lambda a, b: a & b, candidates))
+
+
+def flat_closure_apply(full, generators, x):
+    """The AND of every generator holding x, each one tested in turn: the
+    loop ``ClosureOperator.apply`` ran before it walked the generators'
+    inclusion forest."""
+    out = full
+    for b in generators:
+        if x & b == x:
+            out &= b
+    return out
 
 
 def cuts_generated(rows, sub):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biclosure import (
@@ -275,12 +275,14 @@ _WIDE = (1 << 70) - 1
         (5, []),  # every closure is the carrier
         (70, [_WIDE, _WIDE ^ 1 << 65, 0b111 | 1 << 69, 1 << 66 | 0b1110]),
         (130, [(1 << 130) - 1 ^ 1 << 3, 1 << 129 | 1 << 64 | 0b1, 1 << 64 | 0b11]),
+        (6, [0b011111, 0b000111, 0b111111, 0b001111, 0b000111, 0b000011]),
+        (6, [0b000111, 0b111000, 0b010101, 0b101010, 0b110001]),
     ],
-    ids=["4", "21", "full-member", "empty-base", "m70", "m130"],
+    ids=["4", "21", "full-member", "empty-base", "m70", "m130", "nested", "antichain"],
 )
 def test_closed_family_is_built_on_first_use(m, base):
-    # apply() is a pass over the base: it builds no closed family, and
-    # its result is the brute family's least member over x
+    # apply() walks the base's inclusion forest: it builds no closed
+    # family, and its result is the brute family's least member over x
     c = ClosureOperator(m, base)
     sets = [set(bits(b)) for b in base]
     xs = {0, 0b0010, 0b0101, 1 << (m - 1), (1 << m) - 1, *base}
@@ -303,8 +305,13 @@ def test_closed_family_is_built_on_first_use(m, base):
         (70, [_WIDE, _WIDE ^ 1 << 65, 0b111 | 1 << 69, 1 << 66 | 0b1110]),
         (130, [(1 << 130) - 1 ^ 1 << 3, 1 << 129 | 1 << 64 | 0b1, 1 << 64 | 0b11]),
         (5, [0b00110, 0b10110, 0b00110, 0b11111, 0b10110]),  # repeated generators
+        (6, [0b011111, 0b000111, 0b111111, 0b001111, 0b000111, 0b000011]),
+        (6, [0b000111, 0b111000, 0b010101, 0b101010, 0b110001]),
     ],
-    ids=["4", "21", "full-member", "empty-base", "m70", "m130", "repeated"],
+    ids=[
+        "4", "21", "full-member", "empty-base", "m70", "m130", "repeated", "nested",
+        "antichain",
+    ],
 )
 def test_intents_are_built_with_the_family_not_by_apply(m, base):
     # bit i of a closed set's intent is generator i in the order given,
@@ -317,3 +324,159 @@ def test_intents_are_built_with_the_family_not_by_apply(m, base):
     sets = [set(bits(b)) for b in base]
     assert intents_as_sets(c) == oracles.brute_intents(m, sets)
     assert set(c.closed_family) == set(c._intents)
+
+
+# --- the inclusion forest apply() walks ---------------------------------------------
+
+
+@st.composite
+def forest_bases(draw):
+    """A carrier and a base shaped to exercise the forest: drawn at
+    random, drawn with members cut down inside each other, a nested
+    chain, or an antichain (distinct members of one size); then maybe
+    the carrier, the empty set and repeats added, in any order."""
+    m = draw(st.sampled_from([0, 1, 2, 3, 5, 8, 70, 130]))
+    full = (1 << m) - 1
+    masks = st.integers(0, full)
+    kind = draw(st.sampled_from(["drawn", "cut", "chain", "antichain"]))
+    if kind == "chain":
+        base = [draw(masks)]
+        for _ in range(draw(st.integers(0, 6))):
+            base.append(base[-1] & draw(masks))
+    elif kind == "antichain":
+        k = draw(st.integers(0, m))
+        members = st.sets(st.integers(0, max(m - 1, 0)), min_size=k, max_size=k)
+        base = [mask_of(s) for s in draw(st.lists(members, max_size=7))]
+    else:
+        base = draw(st.lists(masks, max_size=6 if kind == "cut" else 7))
+        if kind == "cut" and base:
+            pick = st.sampled_from(base)
+            base += [b & draw(masks) for b in draw(st.lists(pick, max_size=4))]
+    if draw(st.booleans()):
+        base.append(full)
+    if draw(st.booleans()):
+        base.append(0)
+    if base:
+        base += draw(st.lists(st.sampled_from(base), max_size=3))
+    return m, draw(st.permutations(base))
+
+
+def probe_sets(m, base, data):
+    """Every subset up to 8 elements; above that the empty set, the
+    carrier, each member, each member less its lowest element or cut by
+    a drawn mask, pairwise unions and a few drawn masks."""
+    full = (1 << m) - 1
+    if m <= 8:
+        return list(range(1 << m))
+    masks = st.integers(0, full)
+    xs = {0, full, *base, *data.draw(st.lists(masks, max_size=8))}
+    xs |= {b & ~(b & -b) for b in base} | {b & data.draw(masks) for b in base}
+    xs |= {a | b for a in base for b in base}
+    return sorted(xs)
+
+
+def forest_invariants(c):
+    """Each distinct generator once in the walk; every end past its own
+    entry and inside its parent's subtree; every subtree member a strict
+    subset of the entry it lies under; the roots the top-level entries,
+    in walk order."""
+    walk = c._walk
+    assert sorted(b for b, _ in walk) == sorted(set(c._generators))
+    for i, (b, end) in enumerate(walk):
+        assert i < end <= len(walk)
+        for a, inner in walk[i + 1 : end]:
+            assert a & b == a != b
+            assert inner <= end
+    tops, i = [], 0
+    while i < len(walk):
+        tops.append(i)
+        i = walk[i][1]
+    assert list(c._starts.values()) == tops
+    assert c._roots == tuple(walk[i][0] for i in tops)
+
+
+@settings(max_examples=200, deadline=None)
+@given(forest_bases(), st.data())
+def test_forest_apply_matches_the_flat_loop_and_the_brute_family(mb, data):
+    m, base = mb
+    full = (1 << m) - 1
+    c = ClosureOperator(m, base)
+    xs = probe_sets(m, base, data)
+    for x in xs:
+        assert c.apply(x) == oracles.flat_closure_apply(full, base, x)
+    sets = [set(bits(b)) for b in base]
+    for x in data.draw(st.lists(st.sampled_from(xs), max_size=6)):
+        want = oracles.brute_closure_apply(m, sets, set(bits(x)))
+        assert set(bits(c.apply(x))) == want
+    forest_invariants(c)
+
+
+def test_a_generator_past_the_parent_tests_becomes_a_root():
+    # the one strict superset of the last member lies further back than
+    # the tests reach, behind members that all miss it, so that member is
+    # a root of its own; apply still agrees with the flat loop
+    from biclosure.closure import _PARENT_TESTS
+
+    m = _PARENT_TESTS + 3
+    full = (1 << m) - 1
+    middles = [full ^ (0b10 | 1 << k + 2) for k in range(_PARENT_TESTS)]
+    base = [full ^ 1, *middles, 0b10]
+    c = ClosureOperator(m, base)
+    probes = [0, 0b01, 0b10, 0b11, 0b110, 1 << m - 1, *base]
+    for x in probes:
+        assert c.apply(x) == oracles.flat_closure_apply(full, base, x)
+    assert c._roots == tuple(base)
+    forest_invariants(c)
+
+
+@settings(max_examples=100)
+@given(carriers_with_two_bases())
+def test_forest_is_built_by_apply_alone(mbb):
+    # construction, equality, hashing, the flags and the families leave
+    # the forest unbuilt, and so does a set outside the generators'
+    # union; the first apply() inside it builds it, once
+    m, base, other = mbb
+    full = (1 << m) - 1
+    c1, c2 = ClosureOperator(m, base), ClosureOperator(m, other)
+    c1 == c2, hash(c1), hash(c2), closed_open_family(c1, c2), clopen_sets(c2)
+    c1.is_exact(), c1.is_topological(), c1.closed_family, c1.base
+    assert c1._roots is None and c2._roots is None
+    beyond = full & ~mask_of(i for b in base for i in bits(b))
+    if beyond:
+        assert c1.apply(beyond) == c1.apply(full) == full
+        assert c1._roots is None
+    c1.apply(0)
+    walk = c1._walk
+    c1.apply((1 << m) - 1)
+    assert c1._walk is walk and c2._roots is None
+
+
+@settings(max_examples=200)
+@given(forest_bases())
+@example((0, []))
+@example((3, []))
+@example((3, [0b111]))
+@example((3, [0b111, 0b011, 0b110]))
+@example((3, [0b111, 0b011, 0b101]))
+def test_exactness_is_the_and_of_the_generators(mb):
+    # the empty set's closure by the flat loop, against is_exact's AND
+    m, base = mb
+    c = ClosureOperator(m, base)
+    assert c.is_exact() == (oracles.flat_closure_apply((1 << m) - 1, base, 0) == 0)
+    assert c._roots is None
+
+
+@pytest.mark.parametrize(
+    "poset", [chain(40), boolean_algebra(4)], ids=["chain40", "ba4"]
+)
+def test_induced_forests_have_one_root(poset):
+    # each induced base has a member holding all the others: the image
+    # of the top (up side) or of the bottom (lo side); on a chain the
+    # images are nested, so the forest is one path and every subtree
+    # runs to the end of the walk
+    for c in induced_closures(dual_space(poset)):
+        c.apply(0)
+        assert len(c._roots) == 1
+        forest_invariants(c)
+        if poset.n == 40:
+            assert [end for _, end in c._walk] == [len(c._walk)] * len(c._walk)

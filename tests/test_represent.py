@@ -193,6 +193,47 @@ def test_report_families_match_brute_force_without_sorted_families(catalog4, cat
             for c in closures:
                 assert "closed_family" not in c.__dict__
                 assert "base" not in c.__dict__
+                assert c._roots is None  # nor the forest apply() walks
+
+
+def planted(sub, table):
+    """The subspace with its point images replaced by ``table``."""
+    sub.__dict__["_up_images"] = tuple(table)
+    return sub
+
+
+def test_isotony_witness_is_the_first_failing_relation_in_row_order():
+    # on 0 < 1 < 2 the image of 0 lies in that of 1 but not of 2, so only
+    # the cover 1 < 2 fails; the witness is still 0 <= 2, the first pair
+    # in row order, which is no cover
+    p = chain(3)
+    star = dual_space(p)
+    report = representation_report(p, planted(star, [0b0011, 0b0111, 0b1100]))
+    assert not report.isotone
+    assert report.witnesses["isotone"] == (p.labels[0], p.labels[2])
+
+
+def test_isotony_flag_and_witness_match_the_row_scan_on_planted_images(
+    catalog4, catalog5
+):
+    # real images are always isotone, so planted ones: the real table with
+    # one image cut down or grown, or a drawn table
+    rng = random.Random(0x150709E)
+    for p in catalog4 + catalog5:
+        for _ in range(6):
+            star = dual_space(p)
+            table = list(star._up_images)
+            if rng.random() < 0.5:
+                q = rng.randrange(p.n)
+                side = table[q] if rng.random() < 0.5 else ~table[q]
+                table[q] ^= rng.getrandbits(star.size) & side
+            else:
+                table = [rng.getrandbits(star.size) for _ in table]
+            want = oracles.row_scan_isotony(p.up, table)
+            report = representation_report(p, planted(star, table))
+            assert report.isotone == (want is None)
+            labelled = None if want is None else (p.labels[want[0]], p.labels[want[1]])
+            assert report.witnesses.get("isotone") == labelled
 
 
 def test_injectivity_is_decided_where_reflection_also_breaks():
