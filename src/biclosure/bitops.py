@@ -21,6 +21,7 @@ block, and every subset's closure-equation cuts; ``or_table`` is its OR
 twin, and ``or_rows`` ORs, for each bit row, the rows its bits index
 through one ``or_table`` per block of 8 rows, which is how an order is
 validated and its covers read; ``_transpose`` turns rows into columns.
+``cut`` reads one set's extent off bit rows: the rows that hold it.
 """
 
 from __future__ import annotations
@@ -42,6 +43,17 @@ def mask_of(indices: Iterable[int]) -> int:
     out = 0
     for i in indices:
         out |= 1 << i
+    return out
+
+
+def cut(rows, x: int) -> int:
+    """The mask of the i whose ``rows[i]`` holds every bit of x (every i
+    for x = 0): the extent of x in the context whose objects are the rows
+    (Ganter & Wille, Formal Concept Analysis, 1999)."""
+    out = 0
+    for i, r in enumerate(rows):
+        if x & r == x:
+            out |= 1 << i
     return out
 
 

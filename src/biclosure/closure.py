@@ -252,8 +252,5 @@ def closed_open_family(c1: ClosureOperator, c2: ClosureOperator) -> SubsetFamily
 def induced_closures(subspace) -> tuple:
     """The two closures a subspace carries: one generated by the up-images
     of the base elements, one by their complements."""
-    m = subspace.size
-    n = subspace.poset.n
-    ups = [subspace.up_image(p) for p in range(n)]
-    los = [subspace.lo_image(p) for p in range(n)]
+    m, ups, los = subspace.size, subspace._up_images, subspace._lo_images()
     return ClosureOperator(m, ups), ClosureOperator(m, los)

@@ -9,23 +9,29 @@ Ideals and filters here are taken relative to a subspace A: an A-ideal
 is ideal_of(X), the intersection of the kernels x^-1(0) over a nonempty
 X in A, an A-filter filter_of(X), the same with co-kernels x^-1(1); the
 empty X gives the full carrier, a member only when A holds the right
-constant map. Both are one cut: the p whose lo-image (up-image) holds X.
-By the Galois connection, the A-filters are filter_of(X) over the
-nonempty c1-closed X, the A-ideals ideal_of(X) over the nonempty
-c2-closed X (c1, c2 the induced closures). Generator p of c1 (c2) is
-up_image(p) (lo_image(p)), so the cut of a closed X is the mask of the
-generators holding it, and the one set-growth pass that builds a
-closure's closed family records each closed set's cut with it: extent
-and intent of one formal concept, built together. The points vanishing
-on ideal_of(X) are X and those holding filter_of(Y) are Y, so a
-disjoint pair is separated by a point of A iff X and Y meet. A filter
-that is itself a point a of A is separated from every ideal it misses,
-by a, so the test indexes only the other filters: per element, the mask
-of those that miss it, ANDed over an ideal's elements, is the set of
-filters disjoint from that ideal, and only those meet the X-and-Y test.
-It reads both families off the concepts of the pair it is handed. One
-hull routine serves both sides: AND the images over the subset, then
-cut, no family.
+constant map. Both are one cut of the context (A, P, in), ``bitops.cut``
+over the image rows: the p whose lo-image (up-image) holds X. By the
+Galois connection, the A-filters are filter_of(X) over the nonempty
+c1-closed X, the A-ideals ideal_of(X) over the nonempty c2-closed X (c1,
+c2 the induced closures). Generator p of c1 (c2) is up_image(p)
+(lo_image(p)), so the cut of a closed X is the mask of the generators
+holding it, and the one set-growth pass that builds a closure's closed
+family records each closed set's cut with it: extent and intent of one
+formal concept, built together. One hull routine serves both sides: AND
+the images over the subset, then cut, no family. Fullness is the same
+cut read as order reflection: the filter generated by p must be p's
+up-row. So ``is_full`` and ``represent._cones`` read one routine, and
+the ``separating-cone-fullness`` check keeps no bite of its own;
+``test_cut_matches_pairwise_subset_tests``,
+``test_cones_match_pairwise_subset_tests`` and
+``test_fullness_matches_oracle`` pin them against ``tests/oracles.py``.
+The points vanishing on ideal_of(X) are X and those holding filter_of(Y)
+are Y, so a disjoint pair is separated by a point of A iff X and Y meet.
+A filter that is itself a point a of A is separated from every ideal it
+misses, by a, so the test indexes only the other filters: per element,
+the mask of those that miss it, ANDed over an ideal's elements, is the
+set of filters disjoint from that ideal, and only those meet the X-and-Y
+test. It reads both families off the concepts of the pair it is handed.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from .bitops import _transpose, and_folds, and_tables, bits
+from .bitops import _transpose, and_folds, and_tables, bits, cut
 from .closure import induced_closures
 from .errors import InvalidOrthoMap, MemberOutOfRange, NotALattice, NotBounded
 from .poset import OrthoMap, Poset, SubsetFamily, _upsets
@@ -88,6 +94,10 @@ class Subspace:
     def lo_image(self, p: int) -> int:
         """Indices of the points vanishing at p."""
         return self.all_mask ^ self._up_images[p]
+
+    def _lo_images(self) -> list:
+        """Every element's lo-image, built on each call."""
+        return [self.all_mask ^ u for u in self._up_images]
 
     def kernel(self, i: int) -> int:
         """The zero-set of point i, as a subset of the base carrier."""
@@ -184,20 +194,20 @@ def _lattice_families(star: Subspace):
 # --- ideals and filters relative to a subspace -------------------------------
 
 
-def _cut(subspace: Subspace, image, x: int) -> int:
-    """The p whose image(p) holds every point of x (the full carrier for none)."""
+def _cut(subspace: Subspace, rows, x: int) -> int:
+    """The p whose row holds every point of x (the full carrier for none)."""
     if x & ~subspace.all_mask:
         raise MemberOutOfRange("point indices outside the subspace")
-    return sum(1 << p for p in range(subspace.poset.n) if not x & ~image(p))
+    return cut(rows, x)
 
 
 def ideal_of(subspace: Subspace, point_indices: int) -> int:
     """Intersection of the kernels of the chosen points; full carrier for none."""
-    return _cut(subspace, subspace.lo_image, point_indices)
+    return _cut(subspace, subspace._lo_images(), point_indices)
 
 
 def filter_of(subspace: Subspace, point_indices: int) -> int:
-    return _cut(subspace, subspace.up_image, point_indices)
+    return _cut(subspace, subspace._up_images, point_indices)
 
 
 def ideals_wrt(subspace: Subspace) -> SubsetFamily:
@@ -223,46 +233,38 @@ class Hull(NamedTuple):
     found: bool
 
 
-def _generated(subspace: Subspace, image, subset: int) -> Hull:
-    """The cut of the points whose image holds all of ``subset``."""
+def _generated(subspace: Subspace, rows, subset: int) -> Hull:
+    """The cut of the points whose row holds all of ``subset``."""
     if subset & ~subspace.poset.full:
         raise MemberOutOfRange("subset has elements outside the carrier")
     x = subspace.all_mask
     for p in bits(subset):
-        x &= image(p)
-    return Hull(_cut(subspace, image, x), x != 0)
+        x &= rows[p]
+    return Hull(cut(rows, x), x != 0)
 
 
 def generated_ideal(subspace: Subspace, subset: int) -> Hull:
     """Smallest A-ideal containing ``subset``, if any contains it at all."""
-    return _generated(subspace, subspace.lo_image, subset)
+    return _generated(subspace, subspace._lo_images(), subset)
 
 
 def generated_filter(subspace: Subspace, subset: int) -> Hull:
     """Smallest A-filter containing ``subset``, if any contains it at all."""
-    return _generated(subspace, subspace.up_image, subset)
+    return _generated(subspace, subspace._up_images, subset)
 
 
 # --- separation properties ----------------------------------------------------
 
 
-def _fullness_witnesses(subspace: Subspace):
-    """(p, q, indices of the points holding p but not q) over the
-    non-relations p <= q, p outer and q inner."""
-    poset, images = subspace.poset, subspace._up_images
-    for p, row in enumerate(poset.up):
-        for q in bits(poset.full ^ row):
-            yield p, q, images[p] & ~images[q]
-
-
 def is_full(subspace: Subspace):
-    """Does some point witness every non-relation p <= q?
-
-    Returns (answer, counterexample pair or None).
-    """
-    for p, q, held in _fullness_witnesses(subspace):
-        if not held:
-            return False, (p, q)
+    """Does some point witness every non-relation p <= q? Exactly when the
+    q whose image holds p's are p's up-row, for every p. Returns (answer,
+    the first p with more and its lowest extra q, or None)."""
+    images, up = subspace._up_images, subspace.poset.up
+    for p, image in enumerate(images):
+        extra = cut(images, image) ^ up[p]
+        if extra:
+            return False, (p, next(bits(extra)))
     return True, None
 
 

@@ -20,7 +20,7 @@ from functools import cached_property, reduce
 from itertools import islice
 from operator import or_
 
-from .bitops import _transpose, bits, mask_of, or_rows
+from .bitops import _transpose, bits, cut, mask_of, or_rows
 from .errors import (
     BoundExceeded,
     CycleError,
@@ -276,14 +276,7 @@ def poset_of_family(family: SubsetFamily) -> Poset:
     """The inclusion order on a subset family, labelled by the subsets."""
     members = family.members
     labels = ["{" + ",".join(str(b) for b in bits(x)) + "}" for x in members]
-    up = []
-    for i, x in enumerate(members):
-        row = 0
-        for j, y in enumerate(members):
-            if x & ~y == 0:
-                row |= 1 << j
-        up.append(row)
-    return Poset(labels, up)
+    return Poset(labels, [cut(members, x) for x in members])
 
 
 # --- standard constructions -------------------------------------------------

@@ -30,6 +30,7 @@ from .bitops import (
     and_table,
     and_tables,
     bits,
+    cut,
     lane_fold,
     lane_images,
     or_table,
@@ -38,14 +39,11 @@ from .closure import ClosureOperator, closed_open_family, induced_closures
 from .dualspace import (
     DUAL_POINT_CAP,
     Subspace,
-    _fullness_witnesses,
     _lattice_dual,
     _lattice_families,
     _orthodual,
     _separates,
     dual_space,
-    generated_filter,
-    generated_ideal,
     is_full,
     is_separating,
     lattice_dual,
@@ -268,12 +266,9 @@ def _require(laws: dict, what: str) -> None:
 
 def _cones(space: Subspace):
     """The A-ideal and the A-filter generated by each element, as two
-    tuples indexed by element."""
-    n = space.poset.n
-    return (
-        tuple(generated_ideal(space, 1 << p).subset for p in range(n)),
-        tuple(generated_filter(space, 1 << p).subset for p in range(n)),
-    )
+    tuples indexed by element: the cut of its lo-image and of its up-image."""
+    los, ups = space._lo_images(), space._up_images
+    return tuple(cut(los, x) for x in los), tuple(cut(ups, x) for x in ups)
 
 
 def _ortho_laws(poset: Poset, ortho: OrthoMap, report: RepresentationReport) -> dict:
@@ -388,13 +383,12 @@ def _selfdual_sweep(star: Subspace, cap: int) -> list:
         raise BoundExceeded(
             f"dual space has {m} points, subset sweep bound is {cap}"
         )
-    n = star.poset.n
-    ups = [star.up_image(p) for p in range(n)]
-    los = [star.lo_image(p) for p in range(n)]
-    # a subset is full iff it hits every witness; split it into its low k
-    # points and the rest, and read which witnesses each half hits, as a
-    # bit per witness, from one table per half
-    witnesses = sorted({held for _, _, held in _fullness_witnesses(star)})
+    full, ups = star.poset.full, star._up_images
+    # a subset is full iff it hits every witness (the points holding p but
+    # not q, p <= q false); read which witnesses its low k points and the
+    # rest hit, as a bit per witness, from one table per half
+    pairs = ((p, q) for p, row in enumerate(star.poset.up) for q in bits(full ^ row))
+    witnesses = sorted({ups[p] & ~ups[q] for p, q in pairs})
     columns = _transpose(witnesses, m)
     k = min(m, _LOW_BITS)
     low_hits = or_table(columns[:k])
@@ -406,7 +400,7 @@ def _selfdual_sweep(star: Subspace, cap: int) -> list:
     index = list(range(1 << k))
     lows_for: dict = {}
     keep_ups = _cut_filter(ups, m, k)
-    keep_los = _cut_filter(los, m, k)
+    keep_los = _cut_filter(star._lo_images(), m, k)
     for high, high_hit in enumerate(or_table(columns[k:])):
         need = every & ~high_hit
         lows = lows_for.get(need)
@@ -498,7 +492,7 @@ def induced_orthocomplementation(subspace: Subspace) -> OrthoMap:
         raise NotSelfdual("subspace is not separating")
     if c1 != c2:
         raise NotSelfdual("the two induced closures differ")
-    table = [subspace.up_image(p) for p in range(poset.n)]
+    table = subspace._up_images
     where = {img: p for p, img in enumerate(table)}
     perm = []
     for p in range(poset.n):
@@ -634,8 +628,8 @@ def _closure_formula_agrees(subspace: Subspace, c1, c2, xs):
     """
     n = subspace.poset.n
     every = subspace.size <= _EXHAUSTIVE_LIMIT and xs == range(1 << subspace.size)
-    ups = and_tables([subspace.up_image(p) for p in range(n)], subspace.all_mask)
-    los = and_tables([subspace.lo_image(p) for p in range(n)], subspace.all_mask)
+    ups = and_tables(subspace._up_images, subspace.all_mask)
+    los = and_tables(subspace._lo_images(), subspace.all_mask)
     lanes = len(ups)
     if every:
         filters, ideals = _every_cut(subspace)
@@ -737,11 +731,12 @@ def _general(ctx: _Context):
     ok, x = _closure_formula_agrees(star, c1, c2, _subset_sample(star.size))
     yield "closure-equations", ok, None if ok else {"subset": sorted(bits(x))}
 
-    # the cone hypothesis alone forces fullness: were p <= q false with no
-    # point holding p but not q, q would lie in both the ideal generated by
-    # q and the filter generated by p. So the separating conjunct never
-    # changes the verdict, and the check fails only when is_full and the
-    # generated hulls disagree; it stays to state the paper's hypothesis
+    # the cone hypothesis alone forces fullness (were p <= q false with no
+    # point holding p but not q, q would lie in the ideal generated by q
+    # and the filter generated by p), and is_full and _cones read one cut:
+    # the check has no bite of its own and states the paper's hypothesis.
+    # test_cut_matches_pairwise_subset_tests and
+    # test_cones_match_pairwise_subset_tests pin the cut independently
     downs, ups = _cones(star)
     hyp = not any(
         downs[p] & ups[q]

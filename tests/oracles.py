@@ -225,6 +225,17 @@ def per_set_cuts(images, family):
     )
 
 
+def holding_rows(rows, x):
+    """The indices i whose row holds every bit of x, as a set: one subset
+    test per row, on sets of bit positions."""
+
+    def positions(mask):
+        return {b for b in range(mask.bit_length()) if mask >> b & 1}
+
+    want = positions(x)
+    return {i for i, row in enumerate(rows) if want <= positions(row)}
+
+
 def pair_scan(ideal_pairs, filter_pairs):
     """Every (ideal, X) against every (filter, Y), ideals then filters in
     list order: the first disjoint pair whose closed sets X and Y do not

@@ -14,6 +14,7 @@ DELETED = (
     "_closed",
     "_coincide_mask",
     "_downclosed_subsets",
+    "_fullness_witnesses",
     "_hit_table",
     "_hull",
     "_intersection_closure",

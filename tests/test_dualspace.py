@@ -30,6 +30,7 @@ from biclosure import (
     orthodual_space,
     remove_constants,
 )
+import biclosure.bitops as bitops_module
 from biclosure.bitops import bits, mask_of
 from biclosure.dualspace import (
     DUAL_POINT_CAP,
@@ -355,6 +356,18 @@ def test_batched_cuts_match_per_set_cuts():
             want = oracles.per_set_cuts(images, family)
             assert closures[side]._concepts == want
             assert want == sorted((cut(sub, x), x) for x in family if x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, (1 << 70) - 1), max_size=12),
+    st.integers(0, 9),
+    st.data(),
+)
+def test_cut_matches_pairwise_subset_tests(rows, width, data):
+    # narrow sets are held by many rows, wide ones (up to 70 bits) by few
+    x = data.draw(st.integers(0, (1 << width) - 1) | st.sampled_from(rows or [0]))
+    assert set(bits(bitops_module.cut(rows, x))) == oracles.holding_rows(rows, x)
 
 
 def test_separation_masks_match_the_pair_scan():

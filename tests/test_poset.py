@@ -498,6 +498,16 @@ def test_family_poset_orders_by_inclusion():
     assert not p.leq_labels("{0,1}", "{0}")
 
 
+@given(st.integers(0, 7), st.data())
+def test_family_order_matches_pairwise_subset_tests(m, data):
+    # row i against one subset test per pair of members
+    drawn = data.draw(st.sets(st.integers(0, (1 << m) - 1), max_size=24))
+    family = SubsetFamily(m, drawn)
+    assert [set(bits(row)) for row in poset_of_family(family).up] == [
+        oracles.holding_rows(family.members, x) for x in family.members
+    ]
+
+
 @given(catalog_strategy)
 def test_json_round_trip_preserves_order(p):
     q = poset_from_json(poset_to_json(p))

@@ -50,11 +50,12 @@ import biclosure.dualspace as dualspace_module
 import biclosure.poset as poset_module
 import biclosure.represent as represent_module
 from biclosure.bitops import bits, mask_of
-from biclosure.dualspace import Hull, Subspace, _fullness_witnesses, _lattice_families
+from biclosure.dualspace import Subspace, _lattice_families
 from biclosure.poset import Poset, SubsetFamily
 from biclosure.represent import (
     SUITES,
     SWEEP_CAP,
+    _cones,
     _correspondence,
     _cut_filter,
     _worker_count,
@@ -415,7 +416,8 @@ def test_m4_sweep_matches_a_per_subset_fullness_test(m4):
     star = dual_space(m4)
     ups = [star.up_image(p) for p in range(m4.n)]
     los = [star.lo_image(p) for p in range(m4.n)]
-    held = [h for _, _, h in _fullness_witnesses(star)]
+    n = range(m4.n)
+    held = [ups[p] & ~ups[q] for p in n for q in n if not m4.leq(p, q)]
     plain = [
         sub
         for sub in range(1 << star.size)
@@ -910,9 +912,8 @@ def test_failed_exactness_is_named_by_stone_and_checks(monkeypatch):
 
 
 def test_failed_cones_are_named_by_builders_and_checks(monkeypatch, b4):
-    monkeypatch.setattr(
-        represent_module, "generated_filter", lambda *args: Hull(0, True)
-    )
+    # _cones reads every cone through the cut; an empty one breaks them all
+    monkeypatch.setattr(represent_module, "cut", lambda rows, x: 0)
     f = find_orthocomplementations(b4)[0]
     with pytest.raises(RuntimeError, match="cones"):
         represent_orthoposet(b4, f)
@@ -1220,17 +1221,29 @@ def test_disjoint_cones_force_fullness(p, data):
         assert is_full(sub)[0]
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(small_catalog), st.data())
-def test_fullness_witnesses_walk_the_non_relations_in_pair_order(p, data):
-    star = dual_space(p)
-    sub = star.restrict(data.draw(st.integers(0, star.all_mask)))
-    assert list(_fullness_witnesses(sub)) == [
-        (a, b, sub.up_image(a) & ~sub.up_image(b))
-        for a in range(p.n)
-        for b in range(p.n)
-        if not p.leq(a, b)
-    ]
+def test_cones_match_pairwise_subset_tests(catalog5):
+    # every cone against one subset test per pair of images, the images
+    # transposed bit by bit from the one-sets; the draw reaches non-full
+    # restrictions, whose cones outgrow the order rows, and full ones
+    rng = random.Random(0xC0E5)
+    posets = small_catalog + catalog5
+    full = differ = 0
+    for _ in range(400):
+        p = rng.choice(posets)
+        star = dual_space(p)
+        sub = star.restrict(rng.getrandbits(star.size))
+        ups = oracles.bit_transpose(sub.points, p.n)
+        los = [(1 << len(sub.points)) - 1 ^ u for u in ups]
+        downs, filters = _cones(sub)
+        assert [set(bits(d)) for d in downs] == [
+            oracles.holding_rows(los, x) for x in los
+        ]
+        assert [set(bits(f)) for f in filters] == [
+            oracles.holding_rows(ups, x) for x in ups
+        ]
+        full += is_full(sub)[0]
+        differ += (downs, filters) != (p.down, p.up)
+    assert full > 0 and differ > 0 and full + differ == 400
 
 
 def test_wrong_coincidence_fails_the_boolean_equivalence(monkeypatch, b4):
