@@ -13,9 +13,10 @@ bytes once, which keeps a fold over m points linear in m rather than
 quadratic. ``lane_fold`` folds tables whose entries fit in a few bytes
 (the sampled closure-equation cuts of posets with at most 16 elements):
 each block is cut into 256-byte ``bytes.translate`` tables, one per byte
-lane, and a batch's subsets are read as byte columns, so a block costs
-a few C calls per lane for the whole batch; ``lane_images`` reads one
-table per lane with one ``map`` each. A fold that stops early
+lane, and a batch's subsets are read as byte columns of rows packed in
+one C call (``words``, up to 8 blocks), so a block costs a few C calls
+per lane for the whole batch; ``lane_images`` reads one table per lane
+with one ``map`` each. A fold that stops early
 leaves the blocks it skips unbuilt. ``and_table`` doubles out each
 block, and every subset's closure-equation cuts; ``or_table`` is its OR
 twin, and ``or_rows`` ORs, for each bit row, the rows its bits index
@@ -26,6 +27,7 @@ validated and its covers read; ``_transpose`` turns rows into columns.
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Sequence
 from operator import and_
 from typing import Iterable, Iterator
@@ -206,27 +208,30 @@ def lane_fold(tables, lanes: int):
     Each block's table is cut into ``lanes`` 256-byte ``bytes.translate``
     tables the first time a fold reads it (a partial block repeats to 256
     entries, which ignores the bits above it), and kept. A batch's xs are
-    joined once into little-endian rows of ``len(tables)`` bytes, so
-    block k is the strided column of byte k, translated once per lane and
-    ANDed into that lane as one int. Blocks are read from both ends
-    inward, and once every lane is zero the rest are skipped. Every x
-    must be below ``1 << 8 * len(tables)``.
+    written once as little-endian byte rows (``_byte_rows``: one 8-byte
+    word per x, packed in one C call, up to 8 tables, and rows of
+    ``len(tables)`` bytes joined per x above that), so block k is the
+    strided column of byte k, translated once per lane and ANDed into
+    that lane as one int; a table's lane rows are written the same way.
+    Blocks are read from both ends inward, and once every lane is zero
+    the rest are skipped. Every x must be below ``1 << 8 * len(tables)``.
     """
     width, cut = len(tables), {}
 
     def lanes_of(k: int) -> list:
         t = tables[k]
-        rows = b"".join([v.to_bytes(lanes, "little") for v in t]) * (256 // len(t))
-        cut[k] = out = [rows[lane::lanes] for lane in range(lanes)]
+        rows, stride = _byte_rows(t, lanes)
+        rows *= 256 // len(t)
+        cut[k] = out = [rows[lane::stride] for lane in range(lanes)]
         return out
 
     def fold(xs) -> list:
-        rows = b"".join([x.to_bytes(width, "little") for x in xs])
+        rows, stride = _byte_rows(xs, width)
         out = [-1] * lanes
         for k in (0, *_outside_in(width)):
             if not any(out):
                 break
-            column = rows[k::width]
+            column = rows[k::stride]
             out = [
                 o & int.from_bytes(column.translate(lane), "little")
                 for o, lane in zip(out, cut.get(k) or lanes_of(k))
@@ -234,6 +239,22 @@ def lane_fold(tables, lanes: int):
         return [o.to_bytes(len(xs), "little") for o in out]
 
     return fold
+
+
+def words(values) -> bytes:
+    """The values, each below ``1 << 64``, as little-endian 8-byte words,
+    in one C call."""
+    return struct.pack(f"<{len(values)}Q", *values)
+
+
+def _byte_rows(values, size: int):
+    """The values, each below ``1 << 8 * size``, as little-endian byte
+    rows, and the stride at which the rows start: ``words`` up to 8
+    bytes, so byte k of every row is the slice ``[k::8]``, and one
+    ``to_bytes`` per value above that."""
+    if size <= 8:
+        return words(values), 8
+    return b"".join([v.to_bytes(size, "little") for v in values]), size
 
 
 def lane_images(tables, lanes) -> list:

@@ -620,11 +620,14 @@ def _closure_formula_agrees(subspace: Subspace, c1, c2, xs):
     ``_packed_cuts`` per batch gives both. Up to 16 poset elements that
     fold is ``lane_fold``'s: its byte lanes, one per 8 elements of a cut,
     index the image blocks, each read with one ``map`` (``lane_images``),
-    and an exhaustive batch's cuts are read so as one lane when n <= 8.
-    Otherwise the folds are ``and_folds``'s. No table looks at
-    apply() or at which images contain x. The tables are read over a
-    batch of xs at a time; apply() is still called once per x and
-    closure. The witness is the first failing x in xs.
+    and an exhaustive batch's cuts are read so as one lane when n <= 8;
+    a sampled batch's subsets reach the fold packed as 8-byte words in
+    one C call while the dual has at most 64 points. Otherwise the folds
+    are ``and_folds``'s. No table looks at apply() or at which images
+    contain x. The tables are read over a batch of ``_BATCH`` xs at a
+    time, so a 2,048-subset sample is two batches; apply() is still
+    called once per x and closure. The witness is the first failing x in
+    xs.
     """
     n = subspace.poset.n
     every = subspace.size <= _EXHAUSTIVE_LIMIT and xs == range(1 << subspace.size)
@@ -661,6 +664,10 @@ def _closure_formula_agrees(subspace: Subspace, c1, c2, xs):
             return False, next(
                 x for x, g1, w1, g2, w2 in rows if g1 != w1 or g2 != w2
             )
+        # dropped before the next batch is made, not when rebound: that
+        # made antichain(12)'s check (4,096-bit values) about 5% faster at
+        # batches of 1,024 subsets
+        del got1, got2, want1, want2, filt, ideal
     return True, None
 
 
@@ -668,8 +675,9 @@ def _closure_formula_agrees(subspace: Subspace, c1, c2, xs):
 # and this many seeded random subsets above it
 _EXHAUSTIVE_LIMIT = 12
 _SAMPLES = 2048
-# subsets per fold of the closure-equation tables
-_BATCH = 256
+# subsets per fold of the closure-equation tables: 2,048 measured no
+# faster, and 1,024 keeps a sample at two batches
+_BATCH = 1024
 
 
 def _subset_sample(m: int):

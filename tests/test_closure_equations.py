@@ -22,7 +22,15 @@ from biclosure import (
     induced_closures,
 )
 import biclosure.represent as represent_module
-from biclosure.bitops import BLOCK, and_folds, and_tables, bits, lane_fold, lane_images
+from biclosure.bitops import (
+    BLOCK,
+    and_folds,
+    and_tables,
+    bits,
+    lane_fold,
+    lane_images,
+    words,
+)
 from biclosure.represent import (
     _BATCH,
     _EXHAUSTIVE_LIMIT,
@@ -450,23 +458,40 @@ def test_a_changed_point_fails_at_the_first_differing_subset(monkeypatch, poset)
     assert failed >= 2
 
 
+# up-sets of antichain(5) that leave out element 4, no intersection of
+# which is {0}
+_BELOW_FOUR = [0, 2, 4, 6, 7, 8, 10, 12, 14, 15]
+
+
 @pytest.mark.parametrize(
-    "poset, index, one_set",
-    [(chain(10), 8, 1017), (chain(11), 8, 2033), (chain(11), 9, 2046)],
+    "points, index, batch",
+    [
+        (_BELOW_FOUR + [16], 10, 1),
+        (_BELOW_FOUR + [16, 31], 10, 1),
+        (sorted(_BELOW_FOUR + [11, 16]), 11, 2),
+    ],
     ids=["m11-second-batch", "m12-second-batch", "m12-third-batch"],
 )
-def test_a_changed_point_fails_past_the_first_batch(monkeypatch, poset, index, one_set):
+def test_a_changed_point_fails_past_the_first_batch(monkeypatch, points, index, batch):
+    # no one-point change of a full dual of 11 or 12 points first differs
+    # at or past subset 1,024 (every poset of up to 7 elements, chain(10)
+    # and chain(11)), so these cases change a subspace: the point at
+    # index is {4}, and changing it to {0, 4} leaves every subset without
+    # that point as it was
     monkeypatch.setattr(represent_module, "_packed_cuts", _no_packed_cuts)
-    star = dual_space(poset)
+    poset = antichain(5)
+    star = Subspace._known(poset, points)
+    assert star.points[index] == 0b10000
     c1, c2 = induced_closures(star)
-    points = list(star.points)
-    points[index] = one_set
-    mutant = Subspace._known(poset, points)
     every = range(1 << star.size)
+    assert _closure_formula_agrees(star, c1, c2, every) == (True, None)
+    changed = list(star.points)
+    changed[index] = 0b10001
+    mutant = Subspace._known(poset, changed)
     first = next(
         x for x in every if (c1.apply(x), c2.apply(x)) != brute_formulas(mutant, x)
     )
-    assert first >= _BATCH
+    assert first >= _BATCH and first // _BATCH == batch
     assert _closure_formula_agrees(mutant, c1, c2, every) == (False, first)
 
 
@@ -550,6 +575,38 @@ def test_lane_fold_on_one_and_two_lanes(monkeypatch, poset, lanes):
         _assert_lane_cuts(space, xs)
 
 
+@given(
+    st.integers(56, 72),
+    st.integers(1, 4),
+    st.sampled_from((0, 1, 255, 1024)),
+    st.randoms(use_true_random=False),
+)
+@example(64, 4, 1, random.Random(0))
+@example(65, 1, 1024, random.Random(0))
+@settings(max_examples=60, deadline=None)
+def test_lane_fold_matches_and_folds_across_the_packed_row_width(m, lanes, size, rng):
+    # up to 64 points (8 blocks) a batch's rows are packed as 8-byte
+    # words, above that joined per int; the lanes' table rows are words
+    # at every lane count here
+    masks = [rng.getrandbits(8 * lanes) for _ in range(m)]
+    seed = rng.getrandbits(8 * lanes)
+    tables = and_tables(masks, seed)
+    assert len(tables) == -(-m // BLOCK)
+    xs = [rng.getrandbits(m) for _ in range(size)]
+    if xs:
+        xs[-1] = (1 << m) - 1
+    got = _whole(lane_fold(tables, lanes)(xs))
+    assert got == and_folds(tables, xs)
+    assert got == [naive_fold(masks, seed, x) for x in xs]
+
+
+@given(st.lists(st.integers(0, (1 << 64) - 1) | st.just((1 << 64) - 1), max_size=40))
+@example([])
+@example([0, (1 << 64) - 1, 1])
+def test_words_are_little_endian_eight_byte_rows(values):
+    assert words(values) == b"".join(v.to_bytes(8, "little") for v in values)
+
+
 @pytest.mark.parametrize(
     "poset, laned", [(chain(16), True), (chain(17), False)], ids=["n16", "n17"]
 )
@@ -590,9 +647,9 @@ def _pin_path(monkeypatch, poset):
     [
         (chain(13), None, None),
         (chain(20), None, None),
-        (chain(13), 8, 8096),
-        (chain(13), 13, 8127),
-        (chain(20), 0, 2048),
+        (chain(16), 9, 65280),
+        (chain(16), 8, 65408),
+        (chain(20), 4, 983552),
         (chain(20), 1, 526336),
     ],
     ids=["lanes", "packed", "lanes-b2", "lanes-b2b", "packed-b3", "packed-b8"],
@@ -602,8 +659,8 @@ def test_a_changed_point_fails_at_the_first_differing_sampled_subset(
 ):
     # the true closures against right-hand sides read off the full dual
     # with one point's one-set changed: the witness is the first subset,
-    # in sample order, whose brute-force formulas differ; the named
-    # changes first differ past the first batch (in the batch named)
+    # in sample order, whose brute-force formulas differ; the changes
+    # given by index and one_set first differ past the first batch
     _pin_path(monkeypatch, poset)
     star = dual_space(poset)
     c1, c2 = induced_closures(star)
@@ -746,8 +803,9 @@ def test_witness_past_the_first_batch(monkeypatch, poset, pick, which):
     [
         (chain(10), 5, 200),  # m = 11, one batch
         (chain(10), 100, 1500),  # m = 11, two batches
-        (chain(13), 300, 301),  # sampled, one batch past the first
+        (chain(13), 300, 301),  # sampled, neighbours in the first batch
         (chain(13), 10, 2047),  # sampled, first and last batch
+        (chain(13), 1300, 1301),  # sampled, neighbours one batch past the first
     ],
 )
 def test_witness_is_the_earliest_failing_subset(monkeypatch, poset, early, late):
